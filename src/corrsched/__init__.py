@@ -41,6 +41,7 @@ from .optimizer import (
     CorrelatedPolicy,
     brute_force_distributed_oracle,
     evaluate_independent_policy,
+    sample_strategies,
     sample_strategy,
     solve_centralized_lp,
     solve_distributed_lp,

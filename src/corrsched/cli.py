@@ -9,10 +9,11 @@ import sys
 import numpy as np
 
 from . import analysis, fileio
-from .online import DppConfig
+from .online import DppConfig, NotSeparable
 from .optimizer import solve_distributed_lp
-from .problem import validate_spec
-from .simulator import SimConfig, read_trace, run_episode, write_trace
+from .problem import CapExceeded, validate_spec
+from .simplex import Infeasible
+from .simulator import SimConfig, read_trace, run_ensemble, run_episode, write_trace
 from .strategy import enumerate_all, enumerate_nondecreasing, prune_applicable
 
 
@@ -81,8 +82,6 @@ def _cmd_simulate(args) -> int:
         "spec": str(args.spec),
     }
     if args.runs > 1:
-        from .simulator import run_ensemble
-
         ensemble = run_ensemble(config)
         mean_u = ensemble.mean_u.mean()
         out = {
@@ -201,9 +200,25 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Failures caused by the input (files, specs, sizes, options): reported as one
+# line and exit code 2, like argparse's own usage errors.
+_INPUT_ERRORS = (KeyError, ValueError, Infeasible, CapExceeded, NotSeparable, OSError)
+
+
+def _error_line(exc: Exception) -> str:
+    if isinstance(exc, KeyError):
+        return f"missing key {exc.args[0]!r}" if exc.args else "missing key"
+    text = " ".join(str(exc).split())
+    return f"{type(exc).__name__}: {text}" if text else type(exc).__name__
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-    return args.func(args)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    try:
+        return args.func(args)
+    except _INPUT_ERRORS as exc:
+        parser.exit(2, f"corrsched: error: {_error_line(exc)}\n")
 
 
 if __name__ == "__main__":

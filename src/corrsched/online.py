@@ -7,6 +7,11 @@ minimizing ``V r_0 + sum_k Q_k r_k``, using exact expected penalties, a
 moving-window estimate of them, or (for separable penalties) a per-user
 argmin that needs no strategy enumeration at all.  Ties always resolve to the
 lowest index.
+
+The one-slot step functions here (``queue_update``, ``advance_queues``,
+``dpp_select``, ``approx_update_and_select``, ``separable_select``) are the
+reference the tests replay simulator traces against; the simulator's
+kernel runs the same arithmetic over chunks of slots and many runs at once.
 """
 
 from __future__ import annotations
@@ -97,10 +102,12 @@ def advance_queues(
 
 
 def dpp_select(r: np.ndarray, q: np.ndarray, v: float) -> int:
-    """Index minimizing V r_0 + Q . r_k over strategies; lowest index wins ties."""
+    """Index minimizing V r_0 + Q . r_k over strategies; lowest index wins ties.
+
+    Scores with the same gemv (``r.dot``) as the simulator's kernel.
+    """
     weights = np.concatenate(([v], np.asarray(q, dtype=float)))
-    scores = r @ weights
-    return int(np.argmin(scores))
+    return int(np.argmin(r.dot(weights)))
 
 
 class RollingEstimator:

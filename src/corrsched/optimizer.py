@@ -166,15 +166,25 @@ def evaluate_independent_policy(
     return np.einsum("w,wa,kwa->k", pi, weight, tables)
 
 
+def sample_strategies(
+    policy: CorrelatedPolicy, rng: np.random.Generator, n: int
+) -> np.ndarray:
+    """Draw n shared random indices at once: positions into ``policy.support``.
+
+    Uses one uniform double per draw, so n draws consume the generator
+    exactly like n calls of :func:`sample_strategy`.
+    """
+    edges = np.cumsum(policy.thetas)
+    edges[-1] = max(edges[-1], 1.0)
+    idx = np.searchsorted(edges, rng.random(n), side="right")
+    return np.minimum(idx, len(policy.support) - 1)
+
+
 def sample_strategy(
     policy: CorrelatedPolicy, rng: np.random.Generator
 ) -> PureStrategy:
     """Draw one support strategy; this realizes the shared random index."""
-    thetas = policy.thetas
-    edges = np.cumsum(thetas)
-    edges[-1] = max(edges[-1], 1.0)
-    i = int(np.searchsorted(edges, rng.random(), side="right"))
-    return policy.support[min(i, len(policy.support) - 1)][0]
+    return policy.support[int(sample_strategies(policy, rng, 1)[0])][0]
 
 
 def _best_over_subsets(

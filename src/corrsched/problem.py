@@ -95,24 +95,52 @@ def sample_event_indices(
     event_sizes: Sequence[int],
     rng: np.random.Generator,
     n: int,
+    start: int = 0,
+    stop: int | None = None,
 ) -> np.ndarray:
     """Draw n i.i.d. flat event indices from the distribution.
 
     Product mode draws each user's stream separately (user 0 first); joint
     mode uses inverse-CDF over the flattened table.  Deterministic given the
     generator state.
+
+    With ``stop`` set, only slots [start, stop) of that n-slot draw are
+    returned, bit-identical to the same slice of the one-shot draw.  They
+    come from copies of rng advanced to the slice's stream positions, so rng
+    itself does not move; ``skip_event_draws`` moves it past the whole draw.
+    This needs a bit generator with ``advance`` (PCG64, as in default_rng),
+    whose doubles take one 64-bit output each.
     """
+    one_shot = stop is None
+    if one_shot:
+        start, stop = 0, n
+
+    def uniforms(stream: int) -> np.ndarray:
+        # stream s of the one-shot draw occupies positions [s*n, (s+1)*n)
+        if one_shot:
+            return rng.random(n)
+        bit_gen = type(rng.bit_generator)()
+        bit_gen.state = rng.bit_generator.state
+        bit_gen.advance(stream * n + start)
+        return np.random.Generator(bit_gen).random(stop - start)
+
     if isinstance(distribution, ProductDistribution):
         strides = joint_strides(event_sizes)
-        out = np.zeros(n, dtype=np.int64)
+        out = np.zeros(stop - start, dtype=np.int64)
         for i, q in enumerate(distribution.marginals):
             edges = np.cumsum(q)
             edges[-1] = 1.0
-            out += strides[i] * np.searchsorted(edges, rng.random(n), side="right")
+            out += strides[i] * np.searchsorted(edges, uniforms(i), side="right")
         return out
     edges = np.cumsum(flat_event_probabilities(distribution, event_sizes))
     edges[-1] = 1.0
-    return np.searchsorted(edges, rng.random(n), side="right").astype(np.int64)
+    return np.searchsorted(edges, uniforms(0), side="right").astype(np.int64)
+
+
+def skip_event_draws(distribution: EventDistribution, rng: np.random.Generator, n: int) -> None:
+    """Advance rng past an n-slot ``sample_event_indices`` draw, as drawing it would."""
+    streams = len(distribution.marginals) if isinstance(distribution, ProductDistribution) else 1
+    rng.bit_generator.advance(streams * n)
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,14 @@ centrally, and reveals them to the queues only after the configured delay,
 so the information model holds by construction.  Runs are bit-reproducible
 from (config, seed); ensemble run r uses seed base_seed + r.
 
+One kernel steps R independent runs in lockstep, CHUNK_SLOTS slots at a
+time: ``run_episode`` is its R=1 call and ``run_ensemble`` one call over all
+seeds.  Between chunks it carries only the queues, the running penalty sums,
+the last D slots of the delay line and the worst residual so far, so memory
+grows with the chunk, the delay and the stride-recorded rows, never with the
+horizon.  Chunking changes no result: every per-run number is bit-identical
+to a full-horizon pass.
+
 Per-slot running averages include the current slot: ubar(t) averages
 u(0..t).  The recorded queue column is the queue value the controller saw
 when selecting at slot t.  Every run also streams the sample-path check
@@ -16,7 +24,7 @@ identity of the update rule, so anything above rounding noise is a bug).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -29,6 +37,7 @@ from .problem import (
     joint_components,
     penalty_tables,
     sample_event_indices,
+    skip_event_draws,
 )
 from .strategy import (
     PureStrategy,
@@ -37,6 +46,10 @@ from .strategy import (
     prune_applicable,
     strategy_event_penalties,
 )
+
+# Slots per kernel chunk.  The per-slot buffers hold one chunk (plus the
+# delay line), so this sets the kernel's memory, not its results.
+CHUNK_SLOTS = 2048
 
 
 @dataclass(frozen=True, eq=False)
@@ -58,8 +71,8 @@ class SimConfig:
     phases: Sequence[Phase] | None = None
     runs: int = 1
     stride: int = 100
-    # optional cache of strategy_event_penalties(spec, strategies); ensembles
-    # reuse it across runs instead of rebuilding per episode
+    # optional cache of strategy_event_penalties(spec, strategies); callers
+    # running many configs on one strategy set pass it to skip the rebuild
     event_penalties: np.ndarray | None = None
 
 
@@ -126,178 +139,341 @@ def _resolve_phases(config: SimConfig) -> list[Phase]:
     return phases
 
 
-def run_episode(config: SimConfig, record: bool = True) -> tuple[Metrics, Trace | None]:
-    """Simulate one seeded run; returns metrics and (optionally) a trace.
+def _queue_bound_residual(
+    delayed_sums: np.ndarray, q_after: np.ndarray, first_slot: int, constraints: np.ndarray
+) -> np.ndarray:
+    """Worst sample-path queue-bound residual of each run over a block of slots.
 
-    The loop stores full per-slot penalty and queue series (the penalty
-    series doubles as the feedback delay line); running averages and the
-    sample-path queue-bound residual are then computed in one vectorized
-    pass.  Memory is O(horizon * K), fine for desk-scale horizons.
+    Row i covers slot t = first_slot + i; arrays are (slots, K, runs).
+    ``delayed_sums`` holds the penalties revealed to the queues through slot
+    t, ``q_after`` the queues after slot t's update.  The update rule implies
+    delayed_sums / (t+1) <= c + q_after / (t+1), so the returned per-run
+    maxima of (delayed_sums - q_after) / (t+1) - c must not exceed rounding.
     """
-    spec = config.spec
-    dpp = config.dpp
-    horizon = int(config.horizon)
-    if horizon < 1:
-        raise ValueError("horizon must be >= 1")
-    n_k = spec.n_constraints
-    c = np.asarray(spec.constraints, dtype=float)
-    phases = _resolve_phases(config)
-    rng = np.random.default_rng(config.seed)
+    counts = np.arange(first_slot + 1, first_slot + 1 + len(q_after), dtype=float)
+    resid = delayed_sums - q_after
+    resid /= counts[:, None, None]
+    resid -= constraints[:, None]
+    return resid.max(axis=(0, 1))
 
-    omega_seq = np.empty(horizon, dtype=np.int64)
-    for ph in phases:
-        omega_seq[ph.start : ph.end] = sample_event_indices(
-            ph.distribution, spec.event_sizes, rng, ph.end - ph.start
-        )
 
-    mode = dpp.mode
-    tables = penalty_tables(spec)
-    if mode == "separable":
+@dataclass(eq=False)
+class _Controller:
+    """What a selection step needs besides the queues, for every mode.
+
+    ``table[w, col]`` is the penalty vector of column ``col`` at event w:
+    columns are strategies in exact and approx mode and joint actions in
+    separable mode.
+    """
+
+    mode: str
+    v: float
+    delay: int
+    constraints: np.ndarray
+    table: np.ndarray
+    r: np.ndarray | None = None  # exact: expected penalties in the current phase
+    estimators: list[RollingEstimator] | None = None  # approx: one per run
+    components: list[np.ndarray] | None = None  # separable: (|Omega_i|, |A_i|, K+1) per user
+    action_strides: np.ndarray | None = None
+    omega_comp: np.ndarray | None = None
+
+
+def _controller(config: SimConfig, runs: int) -> _Controller:
+    spec, dpp = config.spec, config.dpp
+    constraints = np.asarray(spec.constraints, dtype=float)
+    if dpp.mode == "separable":
+        tables = penalty_tables(spec)
         comps = separable_components(spec)
-        sep = [np.ascontiguousarray(comp.transpose(1, 2, 0)) for comp in comps]
         action_strides = np.ones(spec.n_users, dtype=np.int64)
         for i in range(spec.n_users - 2, -1, -1):
             action_strides[i] = action_strides[i + 1] * spec.action_sizes[i + 1]
-        omega_comp = joint_components(spec.event_sizes)
-        event_action_pen = np.ascontiguousarray(tables.transpose(1, 2, 0))
-        event_pen = None
-    elif config.event_penalties is not None:
-        event_pen = config.event_penalties
+        return _Controller(
+            mode=dpp.mode,
+            v=dpp.v,
+            delay=dpp.delay,
+            constraints=constraints,
+            table=np.ascontiguousarray(tables.transpose(1, 2, 0)),
+            components=[np.ascontiguousarray(comp.transpose(1, 2, 0)) for comp in comps],
+            action_strides=action_strides,
+            omega_comp=joint_components(spec.event_sizes),
+        )
+    event_pen = config.event_penalties
+    if event_pen is None:
+        event_pen = strategy_event_penalties(spec, resolve_strategies(config))
+    estimators = None
+    if dpp.mode == "approx":
+        estimators = [RollingEstimator(event_pen, dpp.window) for _ in range(runs)]
+    return _Controller(
+        mode=dpp.mode,
+        v=dpp.v,
+        delay=dpp.delay,
+        constraints=constraints,
+        table=event_pen,
+        estimators=estimators,
+    )
+
+
+def _step_single(ctl: _Controller, t0: int, n: int, ev, pen, qa, ms) -> None:
+    """Slots t0..t0+n-1 of a single run, through views of the buffers without the run axis.
+
+    Buffer rows: ev[d + i] and pen[d + i] belong to slot t0 + i (rows below
+    d hold the delay line), qa[i] is the queue before that slot's update and
+    qa[i + 1] after it.  Scalar views are cheaper per slot than the batched
+    form's gathers; the arithmetic is the same.
+    """
+    d = ctl.delay
+    ev, pen, qa, ms = ev[:, 0], pen[:, :, 0], qa[:, :, 0], ms[:, 0]
+    delayed = pen[:, 1:]  # row i: slot t0 + i - d, zeros before slot 0
+    w = np.concatenate(([ctl.v], qa[0]))
+    q = w[1:]  # live queues, updated in place inside the weight vector
+    c = ctl.constraints
+    table = ctl.table
+    mode = ctl.mode
+    if mode == "exact":
+        score = ctl.r.dot
+    elif mode == "approx":
+        estimator = ctl.estimators[0]
+        first_push = d - t0  # slot d is the first with a revealed sample
     else:
-        strategies = resolve_strategies(config)
-        event_pen = strategy_event_penalties(spec, strategies, tables)
-
-    estimator = None
-    phase_r: list[np.ndarray] = []
-    if mode == "approx":
-        estimator = RollingEstimator(event_pen, dpp.window)
-    elif mode == "exact":
-        for ph in phases:
-            pi = flat_event_probabilities(ph.distribution, spec.event_sizes)
-            phase_r.append(np.tensordot(pi, event_pen, axes=(0, 0)))
-
-    delay = dpp.delay
-    pen_series = np.empty((horizon, n_k + 1))  # also serves as the delay line
-    pen1_series = pen_series[:, 1:]
-    sel_q = np.empty((horizon, n_k))  # queue values seen by the controller
-    m_series = np.empty(horizon, dtype=np.int64)
-    zero_row = np.zeros(n_k)
-    wvec = np.empty(n_k + 1)
-    wvec[0] = dpp.v
-    q = wvec[1:]  # live queue vector, updated in place
-    q[:] = 0.0
-
-    n_users = spec.n_users
-    phase_idx = 0
-    next_phase_start = phases[0].end if len(phases) > 1 else horizon
-    r_cur = phase_r[0] if mode == "exact" else None
-    score_dot = r_cur.dot if mode == "exact" else None
-
-    for t in range(horizon):
-        if t == next_phase_start:
-            phase_idx += 1
-            next_phase_start = (
-                phases[phase_idx].end if phase_idx + 1 < len(phases) else horizon
-            )
-            if mode == "exact":
-                r_cur = phase_r[phase_idx]
-                score_dot = r_cur.dot
-        wf = omega_seq[t]
-
+        comps, strides, omega_comp = ctl.components, ctl.action_strides, ctl.omega_comp
+        users = range(len(comps))
+    for i in range(n):
+        wf = ev[d + i]
         if mode == "exact":
-            m = score_dot(wvec).argmin()
-            pen_series[t] = event_pen[wf, m]
+            col = m = score(w).argmin()
         elif mode == "approx":
-            if t >= delay:
-                estimator.push(omega_seq[t - delay])
-            m = estimator.sums.dot(wvec).argmin() if estimator.count else 0
-            pen_series[t] = event_pen[wf, m]
-        else:  # separable
-            af = 0
-            for i in range(n_users):
-                af += action_strides[i] * sep[i][omega_comp[wf, i]].dot(wvec).argmin()
+            if i >= first_push:
+                estimator.push(ev[i])
+            col = m = estimator.sums.dot(w).argmin() if estimator.count else 0
+        else:
+            col = 0
+            for u in users:
+                col += strides[u] * comps[u][omega_comp[wf, u]].dot(w).argmin()
             m = -1
-            pen_series[t] = event_action_pen[wf, af]
-
-        m_series[t] = m
-        sel_q[t] = q
-        dp1 = pen1_series[t - delay] if t >= delay else zero_row
-        q += dp1
+        pen[d + i] = table[wf, col]
+        ms[i] = m
+        q += delayed[i]
         q -= c
         np.maximum(q, 0.0, out=q)
+        qa[i + 1] = q
 
-    # Vectorized post-pass: running averages and the sample-path queue bound
-    # (mean delayed penalty through slot t' must stay below c + Q(t')/t').
-    csum = np.cumsum(pen_series, axis=0)
-    counts = np.arange(1.0, horizon + 1.0)
-    worst_residual = 0.0
-    if n_k:
-        shifted_sum = np.empty((horizon, n_k))
-        if delay:
-            shifted_sum[: min(delay, horizon)] = 0.0
-            if delay < horizon:
-                shifted_sum[delay:] = csum[: horizon - delay, 1:]
+
+def _step_batched(ctl: _Controller, t0: int, n: int, ev, pen, qa, ms) -> None:
+    """Slots t0..t0+n-1 of every run in lockstep; same buffer rows as _step_single.
+
+    Exact mode scores all runs with one stacked matrix-vector product,
+    ``np.matmul(r, w[:, :, None])``: per run it is the same gemv as
+    ``r.dot(w_run)``, so selections match single runs bit for bit (a 2-D
+    ``w @ r.T`` gemm does not).  Approx and separable mode select run by run.
+    Queues and penalties are (K, runs) blocks, so the queue update runs on
+    contiguous rows; the weights are copied out per slot for scoring.
+    """
+    d = ctl.delay
+    runs = ev.shape[1]
+    q = qa[0].copy()  # (K, runs) live queues
+    w = np.empty((runs, len(q) + 1))  # (V, Q) per run, one row each
+    w[:, 0] = ctl.v
+    w[:, 1:] = q.T
+    c = ctl.constraints[:, None]
+    mode = ctl.mode
+    n_cols = ctl.table.shape[1]
+    flat = ctl.table.reshape(-1, ctl.table.shape[2])  # row w * n_cols + col
+    offsets = ev[d : d + n] * n_cols
+    cols = np.empty(runs, dtype=np.int64)
+    rows = np.empty(runs, dtype=np.int64)
+    gathered = np.empty((runs, flat.shape[1]))
+    if mode == "exact":
+        r = ctl.r
+        w_stack = w[:, :, None]
+        scores = np.empty((runs, len(r), 1))
+        scores_2d = scores[:, :, 0]
+    elif mode == "approx":
+        estimators = list(enumerate(ctl.estimators))
+        first_push = d - t0
+    else:
+        comps, strides, omega_comp = ctl.components, ctl.action_strides, ctl.omega_comp
+        users = range(len(comps))
+    for i in range(n):
+        if mode == "exact":
+            np.matmul(r, w_stack, out=scores)
+            scores_2d.argmin(axis=1, out=cols)
+            ms[i] = cols
+        elif mode == "approx":
+            revealed = ev[i] if i >= first_push else None
+            for j, estimator in estimators:
+                if revealed is not None:
+                    estimator.push(revealed[j])
+                cols[j] = estimator.sums.dot(w[j]).argmin() if estimator.count else 0
+            ms[i] = cols
         else:
-            shifted_sum[:] = csum[:, 1:]
-        q_after = np.vstack([sel_q[1:], q[None, :]])
-        resid = (shifted_sum - q_after) / counts[:, None] - c
-        worst_residual = float(resid.max())
+            wf = ev[d + i]
+            for j in range(runs):
+                wj, wfj, col = w[j], wf[j], 0
+                for u in users:
+                    col += strides[u] * comps[u][omega_comp[wfj, u]].dot(wj).argmin()
+                cols[j] = col
+            ms[i] = -1
+        np.add(offsets[i], cols, out=rows)
+        flat.take(rows, axis=0, out=gathered, mode="clip")  # "clip" skips buffering out
+        pen[d + i] = gathered.T
+        q += pen[i, 1:]
+        q -= c
+        np.maximum(q, 0.0, out=q)
+        qa[i + 1] = q
+        w[:, 1:] = q.T
 
-    metrics = Metrics(
-        slots=horizon,
-        utility=float(-csum[-1, 0] / horizon),
-        pbar=csum[-1, 1:] / horizon,
-        final_queues=q.copy(),
-        queue_bound_max_residual=worst_residual,
-    )
-    trace = None
-    if record:
-        stride = max(int(config.stride), 1)
-        idx = np.arange(0, horizon, stride)
-        trace = Trace(
-            t=idx,
-            strategy=m_series[idx],
-            u=-pen_series[idx, 0],
-            p=pen_series[idx, 1:].copy(),
-            q=sel_q[idx].copy(),
-            ubar=-csum[idx, 0] / counts[idx],
-            pbar=csum[idx, 1:] / counts[idx, None],
-            delay=delay,
-            constraints=spec.constraints,
+
+def _simulate(
+    config: SimConfig, seeds: Sequence[int], stride: int | None, accumulate: bool
+) -> tuple[list[Metrics], list[Trace] | None, tuple[np.ndarray, ...] | None]:
+    """Run one seeded episode per seed in lockstep.
+
+    Returns per-run metrics; per-run traces of every stride-th slot (None
+    when stride is None); and, when ``accumulate``, the per-slot sums over
+    runs of u, p and ||Q||, added in seed order.
+    """
+    spec = config.spec
+    horizon = int(config.horizon)
+    if horizon < 1:
+        raise ValueError("horizon must be >= 1")
+    phases = _resolve_phases(config)
+    runs = len(seeds)
+    ctl = _controller(config, runs)
+    step = _step_single if runs == 1 else _step_batched
+    n_k = spec.n_constraints
+    d = ctl.delay
+    chunk = CHUNK_SLOTS
+    rngs = [np.random.default_rng(seed) for seed in seeds]
+
+    # Chunk buffers, run index last; rows below d carry the previous d slots
+    # across chunks, and qa[0] carries the queues.
+    ev = np.zeros((d + chunk, runs), dtype=np.int64)  # events
+    pen = np.zeros((d + chunk, n_k + 1, runs))  # penalties, also the delay line
+    csum = np.zeros((d + chunk, n_k + 1, runs))  # running penalty sums
+    qa = np.zeros((chunk + 1, n_k, runs))  # queues before/after each slot
+    ms = np.empty((chunk, runs), dtype=np.int64)  # selected strategies
+    total = np.zeros((n_k + 1, runs))
+    worst = np.full(runs, -np.inf)
+    if stride is not None:
+        rec_t = np.arange(0, horizon, stride)
+        n_rec = len(rec_t)
+        rec_m = np.empty((n_rec, runs), dtype=np.int64)
+        rec_u, rec_ubar = np.empty((n_rec, runs)), np.empty((n_rec, runs))
+        rec_p, rec_q, rec_pbar = (np.empty((n_rec, n_k, runs)) for _ in range(3))
+    if accumulate:
+        acc_u, acc_p, acc_qn = np.zeros(horizon), np.zeros((horizon, n_k)), np.zeros(horizon)
+
+    for ph in phases:
+        length = ph.end - ph.start
+        if ctl.mode == "exact":
+            pi = flat_event_probabilities(ph.distribution, spec.event_sizes)
+            ctl.r = np.tensordot(pi, ctl.table, axes=(0, 0))
+        for a in range(ph.start, ph.end, chunk):
+            n = min(chunk, ph.end - a)
+            cur = slice(d, d + n)
+            for j, gen in enumerate(rngs):
+                ev[cur, j] = sample_event_indices(
+                    ph.distribution, spec.event_sizes, gen, length, a - ph.start, a - ph.start + n
+                )
+            step(ctl, a, n, ev, pen, qa, ms)
+
+            # Running sums continue from the carry, so they equal a
+            # full-horizon cumsum bit for bit (slot 0 gets no carry, which
+            # keeps a signed zero there as cumsum does).
+            csum[cur] = pen[cur]
+            if a:
+                csum[d] += total
+            np.cumsum(csum[cur], axis=0, out=csum[cur])
+            total[:] = csum[d + n - 1]
+            if n_k:
+                resid = _queue_bound_residual(csum[:n, 1:], qa[1 : n + 1], a, ctl.constraints)
+                np.maximum(worst, resid, out=worst)
+            if stride is not None:
+                first = -(-a // stride)  # records of the slots before a
+                idx = np.arange(first * stride - a, n, stride)
+                rows = d + idx
+                counts = (a + 1 + idx).astype(float)[:, None]
+                out = slice(first, first + len(idx))
+                rec_m[out] = ms[idx]
+                rec_u[out] = -pen[rows, 0]
+                rec_p[out] = pen[rows, 1:]
+                rec_q[out] = qa[idx]
+                rec_ubar[out] = -csum[rows, 0] / counts
+                rec_pbar[out] = csum[rows, 1:] / counts[:, :, None]
+            if accumulate:
+                qnorm = np.sqrt((qa[:n] ** 2).sum(axis=1))
+                for j in range(runs):
+                    acc_u[a : a + n] += -pen[cur, 0, j]
+                    acc_p[a : a + n] += pen[cur, 1:, j]
+                    acc_qn[a : a + n] += qnorm[:, j]
+            if d:
+                ev[:d] = ev[n : n + d]
+                pen[:d] = pen[n : n + d]
+                csum[:d] = csum[n : n + d]
+            qa[0] = qa[n]
+        for gen in rngs:
+            skip_event_draws(ph.distribution, gen, length)
+
+    metrics = [
+        Metrics(
+            slots=horizon,
+            utility=float(-total[0, j] / horizon),
+            pbar=total[1:, j] / horizon,
+            final_queues=qa[0, :, j].copy(),
+            queue_bound_max_residual=float(worst[j]) if n_k else 0.0,
         )
-    return metrics, trace
+        for j in range(runs)
+    ]
+    traces = None
+    if stride is not None:
+        traces = [
+            Trace(
+                t=rec_t,
+                strategy=np.ascontiguousarray(rec_m[:, j]),
+                u=np.ascontiguousarray(rec_u[:, j]),
+                p=np.ascontiguousarray(rec_p[..., j]),
+                q=np.ascontiguousarray(rec_q[..., j]),
+                ubar=np.ascontiguousarray(rec_ubar[:, j]),
+                pbar=np.ascontiguousarray(rec_pbar[..., j]),
+                delay=d,
+                constraints=spec.constraints,
+            )
+            for j in range(runs)
+        ]
+    sums = (acc_u, acc_p, acc_qn) if accumulate else None
+    return metrics, traces, sums
+
+
+def run_episode(config: SimConfig, record: bool = True) -> tuple[Metrics, Trace | None]:
+    """Simulate one seeded run; returns metrics and (optionally) a trace.
+
+    The trace keeps every config.stride-th slot, with running averages over
+    all slots.  Memory is O(chunk + delay + horizon / stride), whatever the
+    horizon.
+    """
+    stride = max(int(config.stride), 1) if record else None
+    metrics, traces, _ = _simulate(config, [config.seed], stride, accumulate=False)
+    return metrics[0], traces[0] if record else None
 
 
 def run_ensemble(config: SimConfig, seeds: Sequence[int] | None = None) -> EnsembleMetrics:
     """Average instantaneous per-slot utility/penalties/||Q|| across runs.
 
-    Runs are independent; seeds default to base_seed + run_index.  Traces are
-    collected at full resolution internally regardless of config.stride.
+    Runs are independent; seeds default to base_seed + run_index.  All runs
+    step in lockstep through one kernel call; each run's metrics equal
+    run_episode with its seed bit for bit, and the across-run means are
+    summed in seed order.  No trace is kept, so memory is O(runs * (chunk +
+    delay)) plus the O(horizon * K) mean series.
     """
     runs = config.runs if seeds is None else len(seeds)
     if runs < 1:
         raise ValueError("need at least one run")
     if seeds is None:
         seeds = [config.seed + i for i in range(runs)]
-    horizon = config.horizon
-    n_k = config.spec.n_constraints
-    event_pen = config.event_penalties
-    if event_pen is None and config.dpp.mode != "separable":
-        event_pen = strategy_event_penalties(config.spec, resolve_strategies(config))
-    acc_u = np.zeros(horizon)
-    acc_p = np.zeros((horizon, n_k))
-    acc_qn = np.zeros(horizon)
-    per_run = []
-    for seed in seeds:
-        run_cfg = replace(config, seed=seed, runs=1, stride=1, event_penalties=event_pen)
-        metrics, trace = run_episode(run_cfg, record=True)
-        acc_u += trace.u
-        acc_p += trace.p
-        acc_qn += np.sqrt((trace.q**2).sum(axis=1))
-        per_run.append(metrics)
+    per_run, _, (acc_u, acc_p, acc_qn) = _simulate(config, seeds, None, accumulate=True)
     return EnsembleMetrics(
         runs=runs,
-        horizon=horizon,
+        horizon=config.horizon,
         mean_u=acc_u / runs,
         mean_p=acc_p / runs,
         mean_qnorm=acc_qn / runs,
@@ -330,20 +506,17 @@ def summarize(
     delay = delay if delay is not None else trace.delay
     residual = float("nan")
     if constraints is not None and delay is not None and trace.p.shape[1]:
-        # audit the *recorded* queues against the recorded penalty debt: mean
-        # delayed penalty through slot t must stay below c + Q(t)/t, where
-        # Q(t) is the queue column (selection-time values, so Q(t) covers
-        # penalties through slot t-1)
-        c = np.asarray(constraints, dtype=float)
-        shifted = np.zeros_like(trace.p)
-        if delay < n:
-            shifted[delay:] = trace.p[: n - delay]
-        dsum = np.cumsum(shifted, axis=0)
+        # audit the *recorded* queues against the recorded penalty debt; the
+        # queue after slot t is the next row's selection-time value, so the
+        # last row has none and is not audited
+        residual = -np.inf
         if n > 1:
-            resid = (dsum[: n - 1] - trace.q[1:]) / counts[: n - 1, None] - c
-            residual = float(resid.max())
-        else:
-            residual = -np.inf
+            shifted = np.zeros_like(trace.p)
+            if delay < n:
+                shifted[delay:] = trace.p[: n - delay]
+            dsum = np.cumsum(shifted[: n - 1], axis=0)
+            c = np.asarray(constraints, dtype=float)
+            residual = float(_queue_bound_residual(dsum[..., None], trace.q[1:, :, None], 0, c)[0])
     return Metrics(
         slots=n,
         utility=float(ubar[-1]),

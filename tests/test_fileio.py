@@ -246,3 +246,70 @@ def test_cli_invalid_spec(tmp_path):
     bad.write_text(json.dumps(obj))
     with pytest.raises(SystemExit):
         main(["solve", "--spec", str(bad), "--out", str(tmp_path / "x.json")])
+
+
+def _cli_error(capsys, argv) -> str:
+    """Run the CLI expecting an input error; return its single stderr line."""
+    from corrsched.cli import main
+
+    with pytest.raises(SystemExit) as info:
+        main(argv)
+    assert info.value.code == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert err.startswith("corrsched: error: ")
+    return err
+
+
+def _spec_file(tmp_path, obj, name="spec.json"):
+    path = tmp_path / name
+    path.write_text(json.dumps(obj))
+    return str(path)
+
+
+def test_cli_missing_key_is_one_line(tmp_path, capsys):
+    obj = fileio.spec_to_dict(fixtures.two_sensor_spec())
+    del obj["constraints"]
+    spec = _spec_file(tmp_path, obj)
+    err = _cli_error(capsys, ["solve", "--spec", spec, "--out", str(tmp_path / "x.json")])
+    assert "missing key 'constraints'" in err
+
+
+def test_cli_infeasible_is_one_line(tmp_path, capsys):
+    obj = fileio.spec_to_dict(fixtures.two_sensor_spec())
+    obj["constraints"] = [-1.0, -1.0]  # power can never go negative
+    spec = _spec_file(tmp_path, obj)
+    err = _cli_error(capsys, ["solve", "--spec", spec, "--out", str(tmp_path / "x.json")])
+    assert "Infeasible" in err
+
+
+def test_cli_cap_exceeded_is_one_line(tmp_path, capsys):
+    big = cs.ProblemSpec(
+        action_sizes=(3, 3),
+        event_sizes=(7, 7),
+        distribution=cs.ProductDistribution((np.full(7, 1 / 7), np.full(7, 1 / 7))),
+        penalties=(cs.FullTable(np.zeros((49, 9))),),
+        constraints=(),
+    )
+    spec = _spec_file(tmp_path, fileio.spec_to_dict(big))
+    argv = ["solve", "--spec", spec, "--prune", "off", "--out", str(tmp_path / "x.json")]
+    assert "CapExceeded" in _cli_error(capsys, argv)
+
+
+def test_cli_not_separable_is_one_line(tmp_path, capsys):
+    argv = ["simulate", "--spec", str(FIXDIR / "two_sensor.json"), "--v", "1", "--slots", "5",
+            "--seed", "1", "--mode", "separable", "--out", str(tmp_path / "run")]
+    assert "NotSeparable" in _cli_error(capsys, argv)
+
+
+def test_cli_bad_files_are_one_line(tmp_path, capsys):
+    out = str(tmp_path / "x.json")
+    assert "FileNotFoundError" in _cli_error(
+        capsys, ["solve", "--spec", str(tmp_path / "absent.json"), "--out", out]
+    )
+    garbled = tmp_path / "garbled.json"
+    garbled.write_text("{not json")
+    assert "JSONDecodeError" in _cli_error(capsys, ["solve", "--spec", str(garbled), "--out", out])
+    argv = ["simulate", "--spec", str(FIXDIR / "two_sensor.json"), "--v", "1", "--slots", "0",
+            "--seed", "1", "--out", str(tmp_path / "run")]
+    assert "horizon must be >= 1" in _cli_error(capsys, argv)

@@ -149,12 +149,20 @@ def test_sample_strategy_frequencies(two_sensor):
     )
     gen = np.random.default_rng(7)
     n = 10**6
-    counts = {maps: 0 for maps in (s.maps for s, _ in support)}
-    for _ in range(n):
-        counts[cs.sample_strategy(policy, gen).maps] += 1
-    for (strat, theta) in support:
+    counts = np.bincount(cs.sample_strategies(policy, gen, n), minlength=len(support))
+    for count, (strat, theta) in zip(counts, support):
         sigma = np.sqrt(theta * (1 - theta) / n)
-        assert abs(counts[strat.maps] / n - theta) < 4 * sigma
+        assert abs(count / n - theta) < 4 * sigma
+
+
+def test_sample_strategy_is_one_draw_of_sample_strategies(two_sensor):
+    spec, strategies = two_sensor
+    policy = cs.solve_distributed_lp(spec, strategies)
+    gen = np.random.default_rng(11)
+    one_by_one = [cs.sample_strategy(policy, gen) for _ in range(200)]
+    batch = cs.sample_strategies(policy, np.random.default_rng(11), 200)
+    assert one_by_one == [policy.support[i][0] for i in batch]
+    assert len(set(batch.tolist())) == len(policy.support)
 
 
 def test_sample_strategy_deterministic(two_sensor):
