@@ -26,7 +26,6 @@ from .problem import (
     validate_spec,
 )
 from .strategy import (
-    PureStrategy,
     check_preferred_action,
     compute_r_vector,
     drop_act_on_zero,
@@ -34,6 +33,7 @@ from .strategy import (
     enumerate_nondecreasing,
     prune_applicable,
     r_matrix,
+    user_maps,
 )
 from .simplex import Infeasible, LpProblem, LpSolution, LpStatus, solve_lp
 from .optimizer import (

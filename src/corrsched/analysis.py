@@ -27,8 +27,9 @@ from .problem import CapExceeded, ProblemSpec
 from .simplex import Infeasible, LpProblem, LpStatus, solve_lp
 from .simulator import EnsembleMetrics, Trace, summarize
 from .strategy import (
-    PureStrategy,
-    _nondecreasing_maps,
+    _user_maps,
+    count_all,
+    count_nondecreasing,
     enumerate_all,
     enumerate_nondecreasing,
     prune_applicable,
@@ -140,20 +141,12 @@ def _ascend_mixture(
     return best
 
 
-def _probe_bases(spec: ProblemSpec) -> list[list[tuple[int, ...]]]:
-    per_user_all = [
-        list(iter_product(range(a), repeat=w))
-        for a, w in zip(spec.action_sizes, spec.event_sizes)
-    ]
-    if math.prod(len(b) for b in per_user_all) <= PROBE_COMBO_CAP:
-        return per_user_all
-    per_user_mono = [
-        list(_nondecreasing_maps(w, a))
-        for a, w in zip(spec.action_sizes, spec.event_sizes)
-    ]
-    if math.prod(len(b) for b in per_user_mono) <= PROBE_COMBO_CAP:
-        return per_user_mono
-    raise CapExceeded(math.prod(len(b) for b in per_user_mono), PROBE_COMBO_CAP)
+def _probe_bases(spec: ProblemSpec) -> list[np.ndarray]:
+    """Per-user base maps to probe: all of them, or only the monotone ones past the cap."""
+    monotone = count_all(spec) > PROBE_COMBO_CAP
+    if monotone and count_nondecreasing(spec) > PROBE_COMBO_CAP:
+        raise CapExceeded(count_nondecreasing(spec), PROBE_COMBO_CAP)
+    return [_user_maps(a, w, monotone) for a, w in zip(spec.action_sizes, spec.event_sizes)]
 
 
 def compare_policies(spec: ProblemSpec) -> ComparisonReport:
@@ -170,7 +163,7 @@ def compare_policies(spec: ProblemSpec) -> ComparisonReport:
     distributed = solve_distributed_lp(spec, strategies)
     centralized = solve_centralized_lp(spec)
     probed: list[float] = []
-    for bases in iter_product(*_probe_bases(spec)):
+    for bases in iter_product(*(maps.tolist() for maps in _probe_bases(spec))):
         r = _ascend_mixture(spec, bases)
         if r is not None:
             probed.append(float(-r[0]))
@@ -186,7 +179,7 @@ def compare_policies(spec: ProblemSpec) -> ComparisonReport:
 
 def epsilon_max(
     spec: ProblemSpec,
-    strategies: Sequence[PureStrategy],
+    strategies: np.ndarray,
     r: np.ndarray | None = None,
     tol: float = 1e-6,
 ) -> float:
@@ -244,7 +237,7 @@ class BoundReport:
 def audit_bounds(
     trace: Trace,
     spec: ProblemSpec,
-    strategies: Sequence[PureStrategy],
+    strategies: np.ndarray,
     dpp: DppConfig,
     p0_opt: float | None = None,
     sigma_mult: float = 3.0,
@@ -302,7 +295,7 @@ class SlaterReport:
 def audit_slater(
     ensemble: EnsembleMetrics,
     spec: ProblemSpec,
-    strategies: Sequence[PureStrategy],
+    strategies: np.ndarray,
     v: float,
 ) -> SlaterReport:
     """One-sided sanity check of the log-growth queue envelope on an ensemble.

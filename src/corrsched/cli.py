@@ -21,7 +21,7 @@ def _load_checked_spec(path):
     spec = fileio.load_spec(path)
     report = validate_spec(spec)
     if not report.ok:
-        raise SystemExit("invalid spec:\n  " + "\n  ".join(report.violations))
+        raise ValueError("invalid spec: " + "; ".join(report.violations))
     return spec
 
 
@@ -37,7 +37,7 @@ def _cmd_solve(args) -> int:
     spec = _load_checked_spec(args.spec)
     strategies = _pick_strategies(spec, args.prune)
     policy = solve_distributed_lp(spec, strategies)
-    fileio.save_policy(policy, args.out)
+    fileio.save_policy(spec, policy, args.out)
     print(f"strategies considered: {len(strategies)}")
     print(f"utility: {policy.utility:.12g}")
     print(f"support size: {len(policy.support)}")

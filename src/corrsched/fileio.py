@@ -28,6 +28,7 @@ from .problem import (
     ProductForm,
 )
 from .simulator import Metrics, Phase
+from .strategy import user_maps
 
 
 def _penalty_to_dict(pen) -> dict[str, Any]:
@@ -113,23 +114,47 @@ def spec_to_dict(spec: ProblemSpec) -> dict[str, Any]:
     }
 
 
+def _object(obj) -> dict[str, Any]:
+    if not isinstance(obj, dict):
+        raise ValueError(f"expected a JSON object, not {type(obj).__name__}")
+    return obj
+
+
+def _field(obj: dict[str, Any], key: str, convert):
+    """convert(obj[key]); a value of the wrong shape raises ValueError naming the key."""
+    value = obj[key]
+    try:
+        return convert(value)
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"field {key!r}: {exc}") from exc
+
+
 def spec_from_dict(obj: dict[str, Any]) -> ProblemSpec:
-    event_sizes = tuple(int(v) for v in obj["event_sizes"])
-    action_sizes = tuple(int(v) for v in obj["action_sizes"])
-    if "users" in obj and int(obj["users"]) != len(action_sizes):
+    event_sizes = _field(obj, "event_sizes", lambda v: tuple(int(x) for x in v))
+    action_sizes = _field(obj, "action_sizes", lambda v: tuple(int(x) for x in v))
+    if "users" in obj and _field(obj, "users", int) != len(action_sizes):
         raise ValueError("'users' disagrees with action_sizes length")
     return ProblemSpec(
         action_sizes=action_sizes,
         event_sizes=event_sizes,
-        distribution=_distribution_from_dict(obj["distribution"], event_sizes),
-        penalties=tuple(_penalty_from_dict(p) for p in obj["penalties"]),
-        constraints=tuple(float(c) for c in obj["constraints"]),
+        distribution=_field(obj, "distribution", lambda d: _distribution_from_dict(d, event_sizes)),
+        penalties=_field(obj, "penalties", lambda ps: tuple(_penalty_from_dict(p) for p in ps)),
+        constraints=_field(obj, "constraints", lambda cs: tuple(float(c) for c in cs)),
     )
 
 
-def load_spec(path) -> ProblemSpec:
+def _load(path, parse):
+    """parse(the JSON object in path); a ValueError is re-raised naming the file."""
     with open(path) as fh:
-        return spec_from_dict(json.load(fh))
+        obj = json.load(fh)
+    try:
+        return parse(_object(obj))
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
+
+
+def load_spec(path) -> ProblemSpec:
+    return _load(path, spec_from_dict)
 
 
 def save_spec(spec: ProblemSpec, path) -> None:
@@ -139,18 +164,14 @@ def save_spec(spec: ProblemSpec, path) -> None:
 
 
 def load_phases(path, spec: ProblemSpec) -> list[Phase]:
-    with open(path) as fh:
-        obj = json.load(fh)
-    phases = []
-    for ph in obj["phases"]:
-        phases.append(
-            Phase(
-                start=int(ph["start"]),
-                end=int(ph["end"]),
-                distribution=_distribution_from_dict(ph["distribution"], spec.event_sizes),
-            )
+    def phase(ph) -> Phase:
+        return Phase(
+            start=int(ph["start"]),
+            end=int(ph["end"]),
+            distribution=_distribution_from_dict(ph["distribution"], spec.event_sizes),
         )
-    return phases
+
+    return _load(path, lambda obj: _field(obj, "phases", lambda v: [phase(ph) for ph in v]))
 
 
 def save_phases(phases, path) -> None:
@@ -169,21 +190,21 @@ def save_phases(phases, path) -> None:
         fh.write("\n")
 
 
-def policy_to_dict(policy: CorrelatedPolicy) -> dict[str, Any]:
+def policy_to_dict(spec: ProblemSpec, policy: CorrelatedPolicy) -> dict[str, Any]:
     return {
         "objective": policy.objective,
         "utility": policy.utility,
         "achieved_constraints": policy.achieved_constraints.tolist(),
         "support": [
-            {"theta": theta, "maps": [list(g) for g in strat.maps]}
+            {"theta": theta, "maps": [g.tolist() for g in user_maps(spec, strat)]}
             for strat, theta in policy.support
         ],
     }
 
 
-def save_policy(policy: CorrelatedPolicy, path) -> None:
+def save_policy(spec: ProblemSpec, policy: CorrelatedPolicy, path) -> None:
     with open(path, "w") as fh:
-        json.dump(policy_to_dict(policy), fh, indent=2)
+        json.dump(policy_to_dict(spec, policy), fh, indent=2)
         fh.write("\n")
 
 
@@ -208,6 +229,4 @@ def save_metrics(metrics: Metrics, path, config: dict[str, Any] | None = None) -
 
 def load_run_config(path) -> dict[str, Any]:
     """Read a run-config JSON, accepting either a bare config or a metrics file."""
-    with open(path) as fh:
-        obj = json.load(fh)
-    return obj.get("config", obj)
+    return _load(path, lambda obj: _field(obj, "config", _object) if "config" in obj else obj)

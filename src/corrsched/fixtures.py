@@ -19,7 +19,7 @@ from .problem import (
     ProductDistribution,
 )
 from .simulator import Phase
-from .strategy import PureStrategy, drop_act_on_zero, enumerate_nondecreasing
+from .strategy import drop_act_on_zero, enumerate_nondecreasing
 
 
 def two_sensor_spec() -> ProblemSpec:
@@ -42,10 +42,10 @@ def two_sensor_spec() -> ProblemSpec:
     )
 
 
-def two_sensor_strategies(spec: ProblemSpec | None = None) -> list[PureStrategy]:
+def two_sensor_strategies(spec: ProblemSpec | None = None) -> np.ndarray:
     """The four monotone strategies that never report without an observation."""
     spec = spec or two_sensor_spec()
-    return drop_act_on_zero(enumerate_nondecreasing(spec))
+    return drop_act_on_zero(spec, enumerate_nondecreasing(spec))
 
 
 def three_sensor_spec() -> ProblemSpec:
@@ -72,10 +72,10 @@ def three_sensor_spec() -> ProblemSpec:
     )
 
 
-def three_sensor_strategies(spec: ProblemSpec | None = None) -> list[PureStrategy]:
+def three_sensor_strategies(spec: ProblemSpec | None = None) -> np.ndarray:
     """Threshold strategies minus always-report: 10 per sensor, 1000 joint."""
     spec = spec or three_sensor_spec()
-    return drop_act_on_zero(enumerate_nondecreasing(spec))
+    return drop_act_on_zero(spec, enumerate_nondecreasing(spec))
 
 
 def counterexample_spec() -> ProblemSpec:

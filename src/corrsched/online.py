@@ -30,7 +30,7 @@ from .problem import (
     joint_components,
     penalty_tables,
 )
-from .strategy import PureStrategy, strategy_event_penalties
+from .strategy import strategy_event_penalties
 
 SEPARABLE_TOL = 1e-9
 SEPARABLE_CAP = 10**7
@@ -203,8 +203,8 @@ def separable_components(spec: ProblemSpec, cap: int = SEPARABLE_CAP) -> list[np
 
 def separable_strategy(
     components: Sequence[np.ndarray], q: np.ndarray, v: float
-) -> PureStrategy:
-    """Per-user argmin maps for the current weights; jointly optimal.
+) -> np.ndarray:
+    """Strategy row of per-user argmin maps for the current weights; jointly optimal.
 
     Minimizing V p_0 + Q . p over pure strategies decomposes across users
     when every penalty is a per-user sum, so each map can be built from that
@@ -214,8 +214,8 @@ def separable_strategy(
     maps = []
     for comp in components:
         scores = np.tensordot(weights, comp, axes=(0, 0))  # (|Omega_i|, |A_i|)
-        maps.append(tuple(int(a) for a in np.argmin(scores, axis=1)))
-    return PureStrategy(tuple(maps))
+        maps.append(np.argmin(scores, axis=1))
+    return np.concatenate(maps)
 
 
 def separable_select(
@@ -236,7 +236,7 @@ def separable_select(
 
 def compute_B(
     spec: ProblemSpec,
-    strategies: Sequence[PureStrategy],
+    strategies: np.ndarray,
     event_penalties: np.ndarray | None = None,
 ) -> float:
     """Drift constant: worst strategy's half mean squared constraint deviation."""

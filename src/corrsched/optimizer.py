@@ -23,7 +23,7 @@ from .problem import (
     penalty_tables,
 )
 from .simplex import Infeasible, LpProblem, LpStatus, solve_lp
-from .strategy import PureStrategy, r_matrix
+from .strategy import r_matrix
 
 SUPPORT_TOL = 1e-12
 CENTRALIZED_CAP = 4096
@@ -34,7 +34,7 @@ ORACLE_STRATEGY_CAP = 50
 class CorrelatedPolicy:
     """Shared-randomness policy: draw a support strategy with probability theta."""
 
-    support: list[tuple[PureStrategy, float]]
+    support: list[tuple[np.ndarray, float]]  # (strategy row, theta)
     objective: float  # optimal expected p_0 (negated utility)
     achieved_constraints: np.ndarray  # expected p_k, k = 1..K
     support_indices: list[int]
@@ -63,7 +63,7 @@ class CentralizedPolicy:
 
 def solve_distributed_lp(
     spec: ProblemSpec,
-    strategies: Sequence[PureStrategy],
+    strategies: np.ndarray,
     r: np.ndarray | None = None,
 ) -> CorrelatedPolicy:
     """Optimal correlated policy over the given strategy set.
@@ -90,7 +90,8 @@ def solve_distributed_lp(
         raise Infeasible(f"distributed LP is {sol.status.value}")
     theta = sol.x
     support_idx = [int(i) for i in np.flatnonzero(theta > SUPPORT_TOL)]
-    support = [(strategies[i], float(theta[i])) for i in support_idx]
+    rows = np.asarray(strategies)[support_idx]  # a copy: the policy must not pin the whole set
+    support = [(row, float(theta[i])) for row, i in zip(rows, support_idx)]
     achieved = theta @ r[:, 1:] if k else np.zeros(0)
     return CorrelatedPolicy(
         support=support,
@@ -180,10 +181,8 @@ def sample_strategies(
     return np.minimum(idx, len(policy.support) - 1)
 
 
-def sample_strategy(
-    policy: CorrelatedPolicy, rng: np.random.Generator
-) -> PureStrategy:
-    """Draw one support strategy; this realizes the shared random index."""
+def sample_strategy(policy: CorrelatedPolicy, rng: np.random.Generator) -> np.ndarray:
+    """Draw one support strategy row; this realizes the shared random index."""
     return policy.support[int(sample_strategies(policy, rng, 1)[0])][0]
 
 
@@ -233,7 +232,7 @@ def _best_over_subsets(
 
 def brute_force_distributed_oracle(
     spec: ProblemSpec,
-    strategies: Sequence[PureStrategy],
+    strategies: np.ndarray,
     r: np.ndarray | None = None,
     cap: int = ORACLE_STRATEGY_CAP,
 ) -> float | None:

@@ -35,12 +35,12 @@ from .problem import (
     ProblemSpec,
     flat_event_probabilities,
     joint_components,
+    joint_strides,
     penalty_tables,
     sample_event_indices,
     skip_event_draws,
 )
 from .strategy import (
-    PureStrategy,
     enumerate_all,
     enumerate_nondecreasing,
     prune_applicable,
@@ -67,7 +67,7 @@ class SimConfig:
     dpp: DppConfig
     horizon: int
     seed: int
-    strategies: Sequence[PureStrategy] | None = None
+    strategies: np.ndarray | None = None
     phases: Sequence[Phase] | None = None
     runs: int = 1
     stride: int = 100
@@ -119,9 +119,9 @@ class EnsembleMetrics:
     per_run: list[Metrics]
 
 
-def resolve_strategies(config: SimConfig) -> list[PureStrategy]:
+def resolve_strategies(config: SimConfig) -> np.ndarray:
     if config.strategies is not None:
-        return list(config.strategies)
+        return np.asarray(config.strategies)
     if prune_applicable(config.spec):
         return enumerate_nondecreasing(config.spec)
     return enumerate_all(config.spec)
@@ -184,9 +184,6 @@ def _controller(config: SimConfig, runs: int) -> _Controller:
     if dpp.mode == "separable":
         tables = penalty_tables(spec)
         comps = separable_components(spec)
-        action_strides = np.ones(spec.n_users, dtype=np.int64)
-        for i in range(spec.n_users - 2, -1, -1):
-            action_strides[i] = action_strides[i + 1] * spec.action_sizes[i + 1]
         return _Controller(
             mode=dpp.mode,
             v=dpp.v,
@@ -194,7 +191,7 @@ def _controller(config: SimConfig, runs: int) -> _Controller:
             constraints=constraints,
             table=np.ascontiguousarray(tables.transpose(1, 2, 0)),
             components=[np.ascontiguousarray(comp.transpose(1, 2, 0)) for comp in comps],
-            action_strides=action_strides,
+            action_strides=joint_strides(spec.action_sizes),
             omega_comp=joint_components(spec.event_sizes),
         )
     event_pen = config.event_penalties

@@ -1,16 +1,17 @@
 """Pure strategies: enumeration, monotone pruning, expected-penalty vectors.
 
 A pure strategy assigns each user a deterministic map from its own observed
-event to an action.  Strategies are ordered lexicographically on the
-concatenated per-user maps; that order fixes every downstream tie-break.
+event to an action.  A strategy is one int row of length sum_i |Omega_i|:
+user 0's map (its action at each of its events), then user 1's, and so on.
+A strategy set is an (M, sum_i |Omega_i|) int64 array of such rows, ordered
+lexicographically; that order fixes every downstream tie-break.  Only this
+module knows the column layout; ``user_maps`` splits rows into per-user maps.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from itertools import product
-from typing import Iterable, Iterator, Sequence
+from itertools import combinations_with_replacement
 
 import numpy as np
 
@@ -29,17 +30,30 @@ CHECK_CAP = 10**7
 MONOTONE_TOL = 1e-12
 
 
-@dataclass(frozen=True, order=True)
-class PureStrategy:
-    """Per-user deterministic maps g_i, stored as nested tuples of actions."""
+def user_maps(spec: ProblemSpec, strategies: np.ndarray) -> list[np.ndarray]:
+    """Per-user column views of a strategy row or set: entry i is g_i, (..., |Omega_i|)."""
+    strategies = np.asarray(strategies)
+    ends = np.cumsum(spec.event_sizes)
+    return [strategies[..., end - w : end] for end, w in zip(ends, spec.event_sizes)]
 
-    maps: tuple[tuple[int, ...], ...]
 
-    def actions(self, omega: Sequence[int]) -> tuple[int, ...]:
-        return tuple(g[w] for g, w in zip(self.maps, omega))
+def _user_maps(n_actions: int, n_events: int, monotone: bool) -> np.ndarray:
+    """One user's maps Omega_i -> A_i as lexicographic rows, or only the non-decreasing ones.
 
-    def is_nondecreasing(self) -> bool:
-        return all(all(g[j] <= g[j + 1] for j in range(len(g) - 1)) for g in self.maps)
+    Combinations with replacement are exactly the non-decreasing maps, in that order.
+    """
+    if monotone:
+        maps = combinations_with_replacement(range(n_actions), n_events)
+        return np.array(list(maps), dtype=np.int64).reshape(-1, n_events)
+    shape = (n_actions,) * n_events
+    return np.stack(np.unravel_index(np.arange(n_actions**n_events), shape), axis=1)
+
+
+def _strategy_set(spec: ProblemSpec, monotone: bool) -> np.ndarray:
+    """Every combination of one map per user, user 0 slowest: the lexicographic rows."""
+    per_user = [_user_maps(a, w, monotone) for a, w in zip(spec.action_sizes, spec.event_sizes)]
+    picks = np.indices([len(maps) for maps in per_user]).reshape(len(per_user), -1)
+    return np.concatenate([maps[idx] for maps, idx in zip(per_user, picks)], axis=1)
 
 
 def count_all(spec: ProblemSpec) -> int:
@@ -52,32 +66,15 @@ def count_nondecreasing(spec: ProblemSpec) -> int:
     )
 
 
-def enumerate_all(spec: ProblemSpec, cap: int = ENUM_CAP) -> list[PureStrategy]:
+def enumerate_all(spec: ProblemSpec, cap: int = ENUM_CAP) -> np.ndarray:
     """Every pure strategy, lexicographic order; raises CapExceeded past cap."""
     m = count_all(spec)
     if m > cap:
         raise CapExceeded(m, cap)
-    per_user = [
-        list(product(range(a), repeat=w))
-        for a, w in zip(spec.action_sizes, spec.event_sizes)
-    ]
-    return [PureStrategy(maps) for maps in product(*per_user)]
+    return _strategy_set(spec, monotone=False)
 
 
-def _nondecreasing_maps(n_events: int, n_actions: int) -> Iterator[tuple[int, ...]]:
-    def rec(prefix: list[int], lo: int) -> Iterator[tuple[int, ...]]:
-        if len(prefix) == n_events:
-            yield tuple(prefix)
-            return
-        for a in range(lo, n_actions):
-            prefix.append(a)
-            yield from rec(prefix, a)
-            prefix.pop()
-
-    yield from rec([], 0)
-
-
-def enumerate_nondecreasing(spec: ProblemSpec, cap: int = ENUM_CAP) -> list[PureStrategy]:
+def enumerate_nondecreasing(spec: ProblemSpec, cap: int = ENUM_CAP) -> np.ndarray:
     """All strategies whose per-user maps are non-decreasing in the event.
 
     With binary actions each per-user map is a threshold rule, so the count
@@ -87,20 +84,17 @@ def enumerate_nondecreasing(spec: ProblemSpec, cap: int = ENUM_CAP) -> list[Pure
     m = count_nondecreasing(spec)
     if m > cap:
         raise CapExceeded(m, cap)
-    per_user = [
-        list(_nondecreasing_maps(w, a))
-        for a, w in zip(spec.action_sizes, spec.event_sizes)
-    ]
-    return [PureStrategy(maps) for maps in product(*per_user)]
+    return _strategy_set(spec, monotone=True)
 
 
-def drop_act_on_zero(strategies: Iterable[PureStrategy]) -> list[PureStrategy]:
+def drop_act_on_zero(spec: ProblemSpec, strategies: np.ndarray) -> np.ndarray:
     """Keep only strategies where every user idles (action 0) on event 0.
 
     Fixture-level filter for instances where acting on the zero event is
     useless by inspection; it is not a general dominance engine.
     """
-    return [s for s in strategies if all(g[0] == 0 for g in s.maps)]
+    strategies = np.asarray(strategies)
+    return strategies[np.all([g[:, 0] == 0 for g in user_maps(spec, strategies)], axis=0)]
 
 
 def check_preferred_action(spec: ProblemSpec, k: int, cap: int = CHECK_CAP) -> bool:
@@ -144,22 +138,19 @@ def prune_applicable(spec: ProblemSpec, cap: int = CHECK_CAP) -> bool:
     return all(check_preferred_action(spec, k, cap) for k in range(spec.n_constraints + 1))
 
 
-def strategy_action_table(
-    spec: ProblemSpec, strategies: Sequence[PureStrategy]
-) -> np.ndarray:
+def strategy_action_table(spec: ProblemSpec, strategies: np.ndarray) -> np.ndarray:
     """Flat action index chosen by each strategy at each event, shape (M, n_events)."""
     omega_comp = joint_components(spec.event_sizes)
     strides = joint_strides(spec.action_sizes)
     out = np.zeros((len(strategies), spec.n_events), dtype=np.int64)
-    for i in range(spec.n_users):
-        maps_i = np.array([s.maps[i] for s in strategies], dtype=np.int64)
-        out += strides[i] * maps_i[:, omega_comp[:, i]]
+    for i, g in enumerate(user_maps(spec, strategies)):
+        out += strides[i] * g[:, omega_comp[:, i]]
     return out
 
 
 def strategy_event_penalties(
     spec: ProblemSpec,
-    strategies: Sequence[PureStrategy],
+    strategies: np.ndarray,
     tables: np.ndarray | None = None,
 ) -> np.ndarray:
     """Penalties of every strategy at every event, shape (n_events, M, K+1).
@@ -169,19 +160,17 @@ def strategy_event_penalties(
     """
     if tables is None:
         tables = penalty_tables(spec)
-    actions = strategy_action_table(spec, strategies)  # (M, n_events)
-    n_events = spec.n_events
-    out = np.empty((n_events, len(strategies), len(tables)))
-    rows = np.arange(n_events)[:, None]
-    cols = actions.T
-    for k in range(len(tables)):
-        out[:, :, k] = tables[k][rows, cols]
+    cols = strategy_action_table(spec, strategies).T  # (n_events, M)
+    rows = np.arange(spec.n_events)[:, None]
+    out = np.empty(cols.shape + (len(tables),))
+    for k, table in enumerate(tables):
+        out[:, :, k] = table[rows, cols]
     return out
 
 
 def r_matrix(
     spec: ProblemSpec,
-    strategies: Sequence[PureStrategy],
+    strategies: np.ndarray,
     event_penalties: np.ndarray | None = None,
 ) -> np.ndarray:
     """Expected-penalty vectors r^(m), shape (M, K+1); exact sums over events."""
@@ -191,6 +180,6 @@ def r_matrix(
     return np.tensordot(pi, event_penalties, axes=(0, 0))
 
 
-def compute_r_vector(spec: ProblemSpec, strategy: PureStrategy) -> np.ndarray:
-    """Expected penalties of one strategy, shape (K+1,)."""
-    return r_matrix(spec, [strategy])[0]
+def compute_r_vector(spec: ProblemSpec, strategy: np.ndarray) -> np.ndarray:
+    """Expected penalties of one strategy row, shape (K+1,)."""
+    return r_matrix(spec, np.asarray(strategy)[None, :])[0]

@@ -22,12 +22,13 @@ def test_counterexample_distributed_optimum_is_constant_strategy():
     assert theta == pytest.approx(1.0, abs=1e-12)
     # the optimum is attained by a constant sign-matched strategy; encoded
     # action 1 on both coins is one such optimizer (mirrored actions tie)
-    both_ones = cs.PureStrategy(((1, 1), (1, 1)))
+    both_ones = np.array([1, 1, 1, 1])
     assert cs.compute_r_vector(spec, both_ones)[0] == pytest.approx(
         policy.objective, abs=1e-12
     )
-    assert all(len(set(g)) == 1 for g in strat.maps)  # constant per user
-    assert strat.maps[0] == strat.maps[1]  # matched signs
+    maps = [g.tolist() for g in cs.user_maps(spec, strat)]
+    assert all(len(set(g)) == 1 for g in maps)  # constant per user
+    assert maps[0] == maps[1]  # matched signs
 
 
 def test_counterexample_truth_table():

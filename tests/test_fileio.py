@@ -1,3 +1,4 @@
+import hashlib
 import json
 from pathlib import Path
 
@@ -85,11 +86,23 @@ def test_policy_file(tmp_path, two_sensor):
     spec, strategies = two_sensor
     policy = cs.solve_distributed_lp(spec, strategies)
     path = tmp_path / "policy.json"
-    fileio.save_policy(policy, path)
+    fileio.save_policy(spec, policy, path)
     obj = json.loads(path.read_text())
     assert obj["utility"] == pytest.approx(23 / 48, abs=1e-9)
     assert len(obj["support"]) <= 3
     assert sum(s["theta"] for s in obj["support"]) == pytest.approx(1.0, abs=1e-9)
+
+
+def test_policy_file_golden_bytes(tmp_path, two_sensor):
+    # SHA-256 of the two-sensor policy file written before strategies became
+    # int rows; the maps are still nested per-user lists, byte for byte
+    spec, strategies = two_sensor
+    path = tmp_path / "policy.json"
+    fileio.save_policy(spec, cs.solve_distributed_lp(spec, strategies), path)
+    digest = hashlib.sha256(path.read_bytes()).hexdigest()
+    assert digest == "e26ffe2225b8e09c2066cff4b9f3c7d256c7c32439342da408d6e43d31bbe2ea"
+    support = json.loads(path.read_text())["support"]
+    assert [s["maps"] for s in support] == [[[0, 0], [0, 1]], [[0, 1], [0, 0]], [[0, 1], [0, 1]]]
 
 
 def test_metrics_file_carries_config(tmp_path, two_sensor):
@@ -313,3 +326,41 @@ def test_cli_bad_files_are_one_line(tmp_path, capsys):
     argv = ["simulate", "--spec", str(FIXDIR / "two_sensor.json"), "--v", "1", "--slots", "0",
             "--seed", "1", "--out", str(tmp_path / "run")]
     assert "horizon must be >= 1" in _cli_error(capsys, argv)
+
+
+def test_cli_invalid_spec_is_one_line(tmp_path, capsys):
+    obj = fileio.spec_to_dict(fixtures.two_sensor_spec())
+    obj["distribution"] = {"product": [[0.0, 1.0], [0.5, 0.5]]}
+    spec = _spec_file(tmp_path, obj)
+    err = _cli_error(capsys, ["solve", "--spec", spec, "--out", str(tmp_path / "x.json")])
+    assert "ValueError: invalid spec: " in err
+
+
+def test_cli_spec_not_an_object_is_one_line(tmp_path, capsys):
+    spec = _spec_file(tmp_path, [fileio.spec_to_dict(fixtures.two_sensor_spec())])
+    err = _cli_error(capsys, ["solve", "--spec", spec, "--out", str(tmp_path / "x.json")])
+    assert f"ValueError: {spec}: expected a JSON object, not list" in err
+
+
+def test_cli_spec_field_of_wrong_shape_is_one_line(tmp_path, capsys):
+    obj = fileio.spec_to_dict(fixtures.two_sensor_spec())
+    obj["action_sizes"] = 2
+    spec = _spec_file(tmp_path, obj)
+    err = _cli_error(capsys, ["solve", "--spec", spec, "--out", str(tmp_path / "x.json")])
+    assert f"ValueError: {spec}: field 'action_sizes': " in err
+
+
+def test_cli_phases_not_an_object_is_one_line(tmp_path, capsys):
+    phases = _spec_file(tmp_path, [1], name="phases.json")
+    argv = ["simulate", "--spec", str(FIXDIR / "two_sensor.json"), "--v", "1", "--slots", "5",
+            "--seed", "1", "--phases", phases, "--out", str(tmp_path / "run")]
+    err = _cli_error(capsys, argv)
+    assert f"ValueError: {phases}: expected a JSON object, not list" in err
+
+
+def test_cli_run_config_not_an_object_is_one_line(tmp_path, capsys):
+    config = _spec_file(tmp_path, [1], name="run.metrics")
+    argv = ["analyze", "--trace", str(tmp_path / "run.trace.csv"),
+            "--spec", str(FIXDIR / "two_sensor.json"), "--config", config]
+    err = _cli_error(capsys, argv)
+    assert f"ValueError: {config}: expected a JSON object, not list" in err

@@ -60,7 +60,7 @@ def test_dpp_select_two_sensor(two_sensor):
     assert cs.dpp_select(r, np.zeros(2), 0.0) == 0  # full tie, lowest index
 
     m = cs.dpp_select(r, np.array([1e6, 1e6]), 1.0)
-    assert strategies[m].maps == ((0, 0), (0, 0))  # huge queues force idling
+    assert strategies[m].tolist() == [0, 0, 0, 0]  # huge queues force idling
 
 
 @settings(max_examples=40, deadline=None)
@@ -154,13 +154,16 @@ def test_separable_matches_exhaustive_on_random_specs(rng):
         assert chosen_score == pytest.approx(best_score, abs=1e-12)
         # per-event actions agree with the chosen strategy map
         omega = tuple(int(rng.integers(0, w)) for w in spec.event_sizes)
-        assert cs.separable_select(comps, q, v, omega) == chosen.actions(omega)
+        maps = cs.user_maps(spec, chosen)
+        assert cs.separable_select(comps, q, v, omega) == tuple(
+            int(g[w]) for g, w in zip(maps, omega)
+        )
 
 
 def test_compute_b_two_sensor(two_sensor):
     spec, strategies = two_sensor
-    by_maps = {s.maps: s for s in strategies}
-    never = by_maps[((0, 0), (0, 0))]
+    by_row = {tuple(s.tolist()): s for s in strategies}
+    never = by_row[(0, 0, 0, 0)]
     assert cs.compute_B(spec, [never]) == pytest.approx(1 / 9, abs=1e-12)
     assert cs.compute_B(spec, strategies) == pytest.approx(23 / 72, abs=1e-12)
 

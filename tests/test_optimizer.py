@@ -122,24 +122,25 @@ def test_independent_policy_rejects_unnormalized(two_sensor):
 
 def test_sample_strategy_single_support(two_sensor):
     spec, strategies = two_sensor
+    row = strategies[0]
     policy = cs.CorrelatedPolicy(
-        support=[(strategies[0], 1.0)],
+        support=[(row, 1.0)],
         objective=0.0,
         achieved_constraints=np.zeros(2),
         support_indices=[0],
     )
     gen = np.random.default_rng(1)
-    assert all(cs.sample_strategy(policy, gen) is strategies[0] for _ in range(25))
+    assert all(cs.sample_strategy(policy, gen) is row for _ in range(25))
 
 
 def test_sample_strategy_frequencies(two_sensor):
     spec, strategies = two_sensor
-    by_maps = {s.maps: s for s in strategies}
+    by_row = {tuple(s.tolist()): s for s in strategies}
     # mixture weights published for this instance: 1/3, 5/9, 1/9
     support = [
-        (by_maps[((0, 1), (0, 0))], 1 / 3),
-        (by_maps[((0, 0), (0, 1))], 5 / 9),
-        (by_maps[((0, 1), (0, 1))], 1 / 9),
+        (by_row[(0, 1, 0, 0)], 1 / 3),
+        (by_row[(0, 0, 0, 1)], 5 / 9),
+        (by_row[(0, 1, 0, 1)], 1 / 9),
     ]
     policy = cs.CorrelatedPolicy(
         support=support,
@@ -159,17 +160,17 @@ def test_sample_strategy_is_one_draw_of_sample_strategies(two_sensor):
     spec, strategies = two_sensor
     policy = cs.solve_distributed_lp(spec, strategies)
     gen = np.random.default_rng(11)
-    one_by_one = [cs.sample_strategy(policy, gen) for _ in range(200)]
+    one_by_one = np.array([cs.sample_strategy(policy, gen) for _ in range(200)])
     batch = cs.sample_strategies(policy, np.random.default_rng(11), 200)
-    assert one_by_one == [policy.support[i][0] for i in batch]
+    assert np.array_equal(one_by_one, np.array([policy.support[i][0] for i in batch]))
     assert len(set(batch.tolist())) == len(policy.support)
 
 
 def test_sample_strategy_deterministic(two_sensor):
     spec, strategies = two_sensor
     policy = cs.solve_distributed_lp(spec, strategies)
-    a = [cs.sample_strategy(policy, np.random.default_rng(3)).maps for _ in range(30)]
-    b = [cs.sample_strategy(policy, np.random.default_rng(3)).maps for _ in range(30)]
+    a = [cs.sample_strategy(policy, np.random.default_rng(3)).tolist() for _ in range(30)]
+    b = [cs.sample_strategy(policy, np.random.default_rng(3)).tolist() for _ in range(30)]
     assert a == b
 
 

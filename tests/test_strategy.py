@@ -1,3 +1,5 @@
+from itertools import product
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,9 +8,14 @@ from hypothesis import strategies as st
 import corrsched as cs
 from corrsched import fixtures
 from corrsched.problem import CapExceeded, penalty_tables
-from corrsched.strategy import strategy_action_table, strategy_event_penalties
+from corrsched.strategy import strategy_action_table, strategy_event_penalties, user_maps
 
 from specgen import random_spec
+
+
+def _actions(spec, strategy, omega):
+    """Joint action of one strategy row at the per-user events omega."""
+    return tuple(int(g[w]) for g, w in zip(user_maps(spec, strategy), omega))
 
 
 def test_enumerate_all_two_sensor_count(two_sensor):
@@ -25,7 +32,7 @@ def test_enumerate_all_single_user_trivial():
         constraints=(),
     )
     strategies = cs.enumerate_all(spec)
-    assert [s.maps for s in strategies] == [((0,),), ((1,),)]
+    assert strategies.tolist() == [[0], [1]]
 
 
 def test_enumerate_all_cap_three_sensor():
@@ -37,9 +44,9 @@ def test_enumerate_all_cap_three_sensor():
 
 def test_enumeration_order_is_lexicographic(two_sensor):
     spec, _ = two_sensor
-    strategies = cs.enumerate_all(spec)
+    strategies = cs.enumerate_all(spec).tolist()
     assert strategies == sorted(strategies)
-    mono = cs.enumerate_nondecreasing(spec)
+    mono = cs.enumerate_nondecreasing(spec).tolist()
     assert mono == sorted(mono)
 
 
@@ -68,7 +75,7 @@ def test_three_sensor_pruned_set(three_sensor):
     assert len(strategies) == 1000
     assert len(cs.enumerate_nondecreasing(spec)) == 11**3
     for s in strategies:
-        assert all(g[0] == 0 for g in s.maps)
+        assert all(g[0] == 0 for g in user_maps(spec, s))
 
 
 @settings(max_examples=25, deadline=None)
@@ -76,11 +83,45 @@ def test_three_sensor_pruned_set(three_sensor):
 def test_nondecreasing_subset_of_all(seed):
     gen = np.random.default_rng(seed)
     spec = random_spec(gen, strategy_cap=100)
-    both = set(cs.enumerate_all(spec, cap=200))
+    both = set(map(tuple, cs.enumerate_all(spec, cap=200).tolist()))
     mono = cs.enumerate_nondecreasing(spec, cap=200)
-    assert set(mono) <= both
+    assert set(map(tuple, mono.tolist())) <= both
     for s in mono:
-        assert s.is_nondecreasing()
+        assert all(np.all(np.diff(g) >= 0) for g in user_maps(spec, s))
+
+
+def _product_oracle(spec, monotone):
+    """Strategy rows from itertools.product over per-user maps, lexicographic."""
+    per_user = [
+        [g for g in product(range(a), repeat=w) if not monotone or list(g) == sorted(g)]
+        for a, w in zip(spec.action_sizes, spec.event_sizes)
+    ]
+    return [[a for g in maps for a in g] for maps in product(*per_user)]
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 10**6))
+def test_enumeration_matches_product_oracle(seed):
+    spec = random_spec(np.random.default_rng(seed), max_users=3, strategy_cap=200)
+    enumerated = {
+        False: cs.enumerate_all(spec, cap=200),
+        True: cs.enumerate_nondecreasing(spec, cap=200),
+    }
+    for monotone, got in enumerated.items():
+        assert got.dtype == np.int64 and got.flags.c_contiguous
+        assert got.shape[1] == sum(spec.event_sizes)
+        assert got.tolist() == _product_oracle(spec, monotone)
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 10**6))
+def test_drop_act_on_zero_keeps_rows_idle_on_event_zero(seed):
+    spec = random_spec(np.random.default_rng(seed), max_users=3, strategy_cap=200)
+    rows = _product_oracle(spec, monotone=False)
+    starts = [sum(spec.event_sizes[:i]) for i in range(spec.n_users)]
+    want = [row for row in rows if all(row[j] == 0 for j in starts)]
+    got = cs.drop_act_on_zero(spec, cs.enumerate_all(spec, cap=200))
+    assert got.tolist() == want
 
 
 def test_preferred_action_power(two_sensor):
@@ -140,10 +181,10 @@ def test_prune_not_applicable_counterexample():
 
 def test_r_vectors_two_sensor(two_sensor):
     spec, strategies = two_sensor
-    by_maps = {s.maps: cs.compute_r_vector(spec, s) for s in strategies}
-    never = by_maps[((0, 0), (0, 0))]
-    only_one = by_maps[((0, 1), (0, 0))]
-    both = by_maps[((0, 1), (0, 1))]
+    by_row = {tuple(s.tolist()): cs.compute_r_vector(spec, s) for s in strategies}
+    never = by_row[(0, 0, 0, 0)]
+    only_one = by_row[(0, 1, 0, 0)]
+    both = by_row[(0, 1, 0, 1)]
     assert np.allclose(never, [0.0, 0.0, 0.0], atol=1e-15)
     assert np.allclose(only_one, [-3 / 4, 3 / 4, 0.0], atol=1e-15)
     assert np.allclose(both, [-13 / 16, 3 / 4, 1 / 2], atol=1e-15)
@@ -186,7 +227,7 @@ def test_two_sensor_values_match_exact_rational_arithmetic(two_sensor):
         for w1 in (0, 1):
             for w2 in (0, 1):
                 prob = marg[0][w1] * marg[1][w2]
-                a1, a2 = s.actions((w1, w2))
+                a1, a2 = _actions(spec, s, (w1, w2))
                 expect[0] += prob * -utility(a1, a2, w1, w2)
                 expect[1] += prob * a1
                 expect[2] += prob * a2
@@ -207,7 +248,7 @@ def test_two_sensor_drift_constant_exact_rational(two_sensor):
         for w1 in (0, 1):
             for w2 in (0, 1):
                 prob = marg[0][w1] * marg[1][w2]
-                a1, a2 = s.actions((w1, w2))
+                a1, a2 = _actions(spec, s, (w1, w2))
                 total += prob * ((F(a1) - c) ** 2 + (F(a2) - c) ** 2)
         worst = max(worst, total / 2)
     assert worst == F(23, 72)
@@ -244,5 +285,5 @@ def test_strategy_action_table_matches_maps(two_sensor):
     for i, s in enumerate(strategies):
         for wf in range(spec.n_events):
             omega = tuple(np.unravel_index(wf, spec.event_sizes))
-            af = np.ravel_multi_index(s.actions(omega), spec.action_sizes)
+            af = np.ravel_multi_index(_actions(spec, s, omega), spec.action_sizes)
             assert table[i, wf] == af
