@@ -10,8 +10,6 @@ import argparse
 import sys
 import time
 
-import numpy as np
-
 import corrsched as cs
 from corrsched import fixtures
 from corrsched.strategy import strategy_event_penalties
@@ -51,13 +49,7 @@ def main(argv=None) -> int:
         ("regime 1 (late)", args.switches[1] + 1000, args.slots),
     ):
         print(f"mean utility {label}: {ens.mean_u[lo:hi].mean():.6f}")
-    data = np.column_stack(
-        [np.arange(args.slots), ens.mean_u, ens.mean_p, ens.mean_qnorm]
-    )
-    header = "t,mean_u," + ",".join(
-        f"mean_p_{k + 1}" for k in range(spec.n_constraints)
-    ) + ",mean_qnorm"
-    np.savetxt(args.out, data, delimiter=",", header=header, comments="")
+    cs.write_ensemble(ens, args.out)
     print(f"wrote {args.out}")
     return 0
 

@@ -74,6 +74,7 @@ from .simulator import (
     run_ensemble,
     run_episode,
     summarize,
+    write_ensemble,
     write_trace,
 )
 from .analysis import (

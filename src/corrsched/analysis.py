@@ -10,30 +10,22 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import product as iter_product
-from typing import Sequence
 
 import numpy as np
 
 from .fixtures import counterexample_spec
 from .online import DppConfig, compute_B, compute_F, performance_bound, queue_change_bound, slater_queue_bound
-from .optimizer import (
-    CorrelatedPolicy,
-    evaluate_independent_policy,
-    solve_centralized_lp,
-    solve_distributed_lp,
-)
-from .problem import CapExceeded, ProblemSpec
+from .optimizer import solve_centralized_lp, solve_distributed_lp
+from .problem import ProblemSpec
 from .simplex import Infeasible, LpProblem, LpStatus, solve_lp
 from .simulator import EnsembleMetrics, Trace, summarize
 from .strategy import (
-    _user_maps,
     count_all,
-    count_nondecreasing,
     enumerate_all,
     enumerate_nondecreasing,
     prune_applicable,
     r_matrix,
+    user_map_counts,
 )
 
 PROBE_COMBO_CAP = 4096
@@ -65,22 +57,19 @@ def verify_counterexample() -> tuple[float, float]:
     return centralized.utility, distributed.utility
 
 
-def _mixture_conditionals(
-    spec: ProblemSpec, bases: Sequence[Sequence[int]], etas: np.ndarray
-) -> list[np.ndarray]:
-    conds = []
-    for i, base in enumerate(bases):
-        cond = np.zeros((spec.event_sizes[i], spec.action_sizes[i]))
-        cond[:, 0] = 1.0 - etas[i]
-        for w, a in enumerate(base):
-            cond[w, a] += etas[i]
-        conds.append(cond)
-    return conds
+def _mix(corners: np.ndarray, etas: np.ndarray) -> np.ndarray:
+    """Expected penalties when user i plays its base map w.p. etas[i] and idles otherwise.
+
+    corners[b_0, ..., b_{n-1}] is r of the pure strategy in which exactly the
+    users with b_i = 1 play their base maps; contracting one user axis at a
+    time gives sum_S prod_{i in S} eta_i prod_{i not in S} (1 - eta_i) r_S.
+    """
+    for eta in etas:
+        corners = (1.0 - eta) * corners[0] + eta * corners[1]
+    return corners
 
 
-def _ascend_mixture(
-    spec: ProblemSpec, bases: Sequence[Sequence[int]], tol: float = 1e-9
-) -> np.ndarray | None:
+def _ascend_mixture(spec: ProblemSpec, corners: np.ndarray, tol: float = 1e-9) -> np.ndarray | None:
     """Maximize utility over per-user activation probabilities, exactly.
 
     Expected penalties are affine in each eta_i with the others held fixed,
@@ -94,7 +83,7 @@ def _ascend_mixture(
     best: np.ndarray | None = None
     for start in (0.0, 1.0):
         etas = np.full(spec.n_users, start)
-        r = evaluate_independent_policy(spec, _mixture_conditionals(spec, bases, etas))
+        r = _mix(corners, etas)
         if k and np.any(r[1:] > c + tol):
             continue
         for _ in range(40):
@@ -102,13 +91,9 @@ def _ascend_mixture(
             for i in range(spec.n_users):
                 save = etas[i]
                 etas[i] = 0.0
-                r0 = evaluate_independent_policy(
-                    spec, _mixture_conditionals(spec, bases, etas)
-                )
+                r0 = _mix(corners, etas)
                 etas[i] = 1.0
-                r1 = evaluate_independent_policy(
-                    spec, _mixture_conditionals(spec, bases, etas)
-                )
+                r1 = _mix(corners, etas)
                 slope = r1 - r0
                 lo, hi = 0.0, 1.0
                 ok = True
@@ -133,7 +118,7 @@ def _ascend_mixture(
                 etas[i] = new
             if not changed:
                 break
-        r = evaluate_independent_policy(spec, _mixture_conditionals(spec, bases, etas))
+        r = _mix(corners, etas)
         if k and np.any(r[1:] > c + 1e-9):
             continue
         if best is None or r[0] < best[0]:
@@ -141,32 +126,34 @@ def _ascend_mixture(
     return best
 
 
-def _probe_bases(spec: ProblemSpec) -> list[np.ndarray]:
-    """Per-user base maps to probe: all of them, or only the monotone ones past the cap."""
-    monotone = count_all(spec) > PROBE_COMBO_CAP
-    if monotone and count_nondecreasing(spec) > PROBE_COMBO_CAP:
-        raise CapExceeded(count_nondecreasing(spec), PROBE_COMBO_CAP)
-    return [_user_maps(a, w, monotone) for a, w in zip(spec.action_sizes, spec.event_sizes)]
-
-
 def compare_policies(spec: ProblemSpec) -> ComparisonReport:
     """Best independent (probed), correlated, and centralized utilities.
 
-    The independent probe sweeps per-user base strategies mixed with the idle
-    action, optimizing activation probabilities by exact coordinate ascent;
-    each probe is itself a valid distributed policy, so probed utilities can
-    never exceed the correlated optimum.
+    The independent probe sweeps per-user base maps mixed with the idle map,
+    optimizing activation probabilities by exact coordinate ascent; each
+    probe is itself a valid distributed policy, so probed utilities can never
+    exceed the correlated optimum.  The base maps are the rows of one grid
+    (every strategy, or the non-decreasing ones past PROBE_COMBO_CAP).  Map 0
+    of every user idles, so each mixture's corners are grid rows as well and
+    one r_matrix over the grid prices every mixture.
     """
     strategies = (
         enumerate_nondecreasing(spec) if prune_applicable(spec) else enumerate_all(spec)
     )
     distributed = solve_distributed_lp(spec, strategies)
     centralized = solve_centralized_lp(spec)
+    monotone = count_all(spec) > PROBE_COMBO_CAP
+    grid = enumerate_nondecreasing(spec, PROBE_COMBO_CAP) if monotone else enumerate_all(spec)
+    r = r_matrix(spec, grid)
+    counts = user_map_counts(spec, monotone)
+    n = spec.n_users
+    subsets = np.indices((2,) * n).reshape(n, -1)  # column s: which users play their base map
     probed: list[float] = []
-    for bases in iter_product(*(maps.tolist() for maps in _probe_bases(spec))):
-        r = _ascend_mixture(spec, bases)
-        if r is not None:
-            probed.append(float(-r[0]))
+    for picks in np.indices(counts).reshape(n, -1).T:  # grid order, user 0 slowest
+        corners = r[np.ravel_multi_index(picks[:, None] * subsets, counts)]
+        best = _ascend_mixture(spec, corners.reshape((2,) * n + r.shape[1:]))
+        if best is not None:
+            probed.append(float(-best[0]))
     if not probed:
         raise Infeasible("no feasible independent policy found on the probe grid")
     return ComparisonReport(
@@ -239,23 +226,20 @@ def audit_bounds(
     spec: ProblemSpec,
     strategies: np.ndarray,
     dpp: DppConfig,
-    p0_opt: float | None = None,
-    sigma_mult: float = 3.0,
 ) -> BoundReport:
     """Check a run against the O(1/V) performance bound and the queue bound.
 
-    The performance check allows sigma_mult standard errors of slack since
-    the bound constrains an expectation and the trace is one sample path.
-    The queue (sample-path) check needs a stride-1 trace with metadata.
+    The performance check allows three standard errors of slack since the
+    bound constrains an expectation and the trace is one sample path.  The
+    queue (sample-path) check needs a stride-1 trace with metadata.
     """
     r = r_matrix(spec, strategies)
-    if p0_opt is None:
-        p0_opt = solve_distributed_lp(spec, strategies, r=r).objective
+    p0_opt = solve_distributed_lp(spec, strategies, r=r).objective
     b_const = compute_B(spec, strategies)
     pbar0 = -trace.ubar
     counts = trace.t.astype(float) + 1.0
     var_p0 = float(np.var(trace.u))
-    slack = sigma_mult * np.sqrt(var_p0 / counts)
+    slack = 3.0 * np.sqrt(var_p0 / counts)
     # queues start at zero and see only zero penalties through slot D, so the
     # post-warm-up queue energy is deterministic (nonzero only for c_k < 0)
     c = np.asarray(spec.constraints, dtype=float)

@@ -13,7 +13,7 @@ from .online import DppConfig, NotSeparable
 from .optimizer import solve_distributed_lp
 from .problem import CapExceeded, validate_spec
 from .simplex import Infeasible
-from .simulator import SimConfig, read_trace, run_ensemble, run_episode, write_trace
+from .simulator import SimConfig, read_trace, run_ensemble, run_episode, write_ensemble, write_trace
 from .strategy import enumerate_all, enumerate_nondecreasing, prune_applicable
 
 
@@ -93,17 +93,7 @@ def _cmd_simulate(args) -> int:
         with open(f"{args.out}.metrics", "w") as fh:
             json.dump(out, fh, indent=2)
             fh.write("\n")
-        np.savetxt(
-            f"{args.out}.trace.csv",
-            np.column_stack(
-                [np.arange(ensemble.horizon), ensemble.mean_u, ensemble.mean_p, ensemble.mean_qnorm]
-            ),
-            delimiter=",",
-            header="t,mean_u,"
-            + ",".join(f"mean_p_{k + 1}" for k in range(spec.n_constraints))
-            + ",mean_qnorm",
-            comments="",
-        )
+        write_ensemble(ensemble, f"{args.out}.trace.csv")
         print(f"ensemble of {ensemble.runs} runs written to {args.out}.*")
         return 0
     metrics, trace = run_episode(config)
@@ -121,10 +111,10 @@ def _cmd_analyze(args) -> int:
     run_config = fileio.load_run_config(args.config)
     trace = read_trace(args.trace)
     trace.constraints = spec.constraints
-    trace.delay = int(run_config["delay"])
+    trace.delay = run_config["delay"]
     dpp = DppConfig(
-        v=float(run_config["v"]),
-        delay=int(run_config["delay"]),
+        v=run_config["v"],
+        delay=run_config["delay"],
         mode=run_config.get("mode", "exact"),
         window=run_config.get("window"),
     )
@@ -166,7 +156,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("solve", help="compute the optimal correlated policy")
     p.add_argument("--spec", required=True)
-    p.add_argument("--prune", choices=["auto", "off", "force"], default="auto")
+    p.add_argument("--prune", choices=fileio.PRUNE_CHOICES, default="auto")
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_solve)
 
@@ -178,7 +168,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--slots", type=int, required=True)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--mode", choices=["exact", "approx", "separable"], default="exact")
-    p.add_argument("--prune", choices=["auto", "off", "force"], default="auto")
+    p.add_argument("--prune", choices=fileio.PRUNE_CHOICES, default="auto")
     p.add_argument("--phases", default=None)
     p.add_argument("--runs", type=int, default=1)
     p.add_argument("--stride", type=int, default=100)

@@ -227,6 +227,28 @@ def save_metrics(metrics: Metrics, path, config: dict[str, Any] | None = None) -
         fh.write("\n")
 
 
+PRUNE_CHOICES = ("auto", "off", "force")
+# JSON types of the run-config fields an analysis reads; other entries pass through
+_RUN_TYPES = dict(v=(int, float), delay=int, window=(int, type(None)), mode=str, prune=str)
+
+
+def _run_field(config: dict[str, Any], key: str):
+    def check(value):
+        if isinstance(value, bool) or not isinstance(value, _RUN_TYPES[key]):
+            raise TypeError(f"wrong type {type(value).__name__}")
+        if key == "prune" and value not in PRUNE_CHOICES:
+            raise ValueError(f"{value!r} is not one of {', '.join(PRUNE_CHOICES)}")
+        return value
+
+    return _field(config, key, check)
+
+
 def load_run_config(path) -> dict[str, Any]:
-    """Read a run-config JSON, accepting either a bare config or a metrics file."""
-    return _load(path, lambda obj: _field(obj, "config", _object) if "config" in obj else obj)
+    """Read a run-config JSON (a bare config or a metrics file) and check the fields above."""
+
+    def parse(obj):
+        config = _field(obj, "config", _object) if "config" in obj else obj
+        return {key: _run_field(config, key) if key in _RUN_TYPES else value
+                for key, value in config.items()}
+
+    return _load(path, parse)

@@ -479,17 +479,12 @@ def run_ensemble(config: SimConfig, seeds: Sequence[int] | None = None) -> Ensem
     )
 
 
-def summarize(
-    trace: Trace,
-    constraints: Sequence[float] | None = None,
-    delay: int | None = None,
-) -> Metrics:
+def summarize(trace: Trace) -> Metrics:
     """Recompute running averages from a full-resolution trace.
 
     Requires consecutive slots starting at 0.  The queue-bound residual needs
-    the constraint levels and delay; they are taken from the trace metadata
-    when not passed, and the residual is NaN if neither is available (e.g.
-    after a CSV round-trip).
+    the constraint levels and delay from the trace metadata; it is NaN when
+    they are not set (e.g. after a CSV round-trip).
     """
     if len(trace) == 0:
         raise ValueError("empty trace")
@@ -499,8 +494,7 @@ def summarize(
     counts = np.arange(1, n + 1, dtype=float)
     ubar = np.cumsum(trace.u) / counts
     pbar = np.cumsum(trace.p, axis=0) / counts[:, None]
-    constraints = constraints if constraints is not None else trace.constraints
-    delay = delay if delay is not None else trace.delay
+    constraints, delay = trace.constraints, trace.delay
     residual = float("nan")
     if constraints is not None and delay is not None and trace.p.shape[1]:
         # audit the *recorded* queues against the recorded penalty debt; the
@@ -546,6 +540,14 @@ def write_trace(trace: Trace, path) -> None:
                 fh.write(",".join(cells) + "\n")
     except OSError as exc:
         raise OSError(f"cannot write trace to {path}: {exc}") from exc
+
+
+def write_ensemble(ensemble: EnsembleMetrics, path) -> None:
+    """CSV of the across-run means per slot: t, mean_u, mean_p_1..mean_p_K, mean_qnorm."""
+    n_k = ensemble.mean_p.shape[1]
+    header = ",".join(["t", "mean_u"] + [f"mean_p_{k + 1}" for k in range(n_k)] + ["mean_qnorm"])
+    series = [np.arange(ensemble.horizon), ensemble.mean_u, ensemble.mean_p, ensemble.mean_qnorm]
+    np.savetxt(path, np.column_stack(series), delimiter=",", header=header, comments="")
 
 
 def read_trace(path) -> Trace:

@@ -56,14 +56,18 @@ def _strategy_set(spec: ProblemSpec, monotone: bool) -> np.ndarray:
     return np.concatenate([maps[idx] for maps, idx in zip(per_user, picks)], axis=1)
 
 
+def user_map_counts(spec: ProblemSpec, monotone: bool = False) -> list[int]:
+    """Maps Omega_i -> A_i per user: all of them, or only the non-decreasing ones."""
+    sizes = zip(spec.action_sizes, spec.event_sizes)
+    return [math.comb(w + a - 1, a - 1) if monotone else a**w for a, w in sizes]
+
+
 def count_all(spec: ProblemSpec) -> int:
-    return math.prod(a ** w for a, w in zip(spec.action_sizes, spec.event_sizes))
+    return math.prod(user_map_counts(spec))
 
 
 def count_nondecreasing(spec: ProblemSpec) -> int:
-    return math.prod(
-        math.comb(w + a - 1, a - 1) for a, w in zip(spec.action_sizes, spec.event_sizes)
-    )
+    return math.prod(user_map_counts(spec, monotone=True))
 
 
 def enumerate_all(spec: ProblemSpec, cap: int = ENUM_CAP) -> np.ndarray:
@@ -148,18 +152,13 @@ def strategy_action_table(spec: ProblemSpec, strategies: np.ndarray) -> np.ndarr
     return out
 
 
-def strategy_event_penalties(
-    spec: ProblemSpec,
-    strategies: np.ndarray,
-    tables: np.ndarray | None = None,
-) -> np.ndarray:
+def strategy_event_penalties(spec: ProblemSpec, strategies: np.ndarray) -> np.ndarray:
     """Penalties of every strategy at every event, shape (n_events, M, K+1).
 
     Event-major layout so a single event row (used by windowed estimators and
     per-slot bookkeeping) is contiguous.
     """
-    if tables is None:
-        tables = penalty_tables(spec)
+    tables = penalty_tables(spec)
     cols = strategy_action_table(spec, strategies).T  # (n_events, M)
     rows = np.arange(spec.n_events)[:, None]
     out = np.empty(cols.shape + (len(tables),))

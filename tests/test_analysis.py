@@ -1,8 +1,12 @@
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import corrsched as cs
-from corrsched import fixtures
+from corrsched import analysis, fixtures
 from corrsched.simplex import LpProblem, LpStatus, solve_lp
 
 from specgen import random_separable_spec, random_spec
@@ -74,6 +78,111 @@ def test_compare_policies_ordering_on_random_specs(rng):
         assert report.centralized_opt >= report.distributed_opt - 1e-9
         for value in report.probed_values:
             assert value <= report.distributed_opt + 1e-9
+
+
+def _monotone_grid_spec():
+    """2 x 7 binary sensors: 16,384 strategies, so the probe grid is the 64 monotone rows."""
+    levels = np.arange(7, dtype=float)
+    return cs.ProblemSpec(
+        action_sizes=(2, 2),
+        event_sizes=(7, 7),
+        distribution=cs.ProductDistribution(
+            (np.array([0.3, 0.2, 0.15, 0.1, 0.1, 0.1, 0.05]), np.full(7, 1 / 7))
+        ),
+        penalties=(
+            cs.MinSumUtilityNeg(weights=(levels / 6.0, levels / 12.0), cap=1.0),
+            cs.PowerPerUser(0),
+            cs.PowerPerUser(1),
+        ),
+        constraints=(0.3, 0.4),
+    )
+
+
+# probed_values written by the per-user conditional pricing that the corner
+# mixture replaced; the two sum in different orders, hence the 1e-12 tolerance
+PINNED_PROBES = {
+    "two_sensor": [
+        0.0, 0.16666666666666666, 0.0, 0.08333333333333333, 0.3333333333333333,
+        0.4444444444444445, 0.3333333333333333, 0.38888888888888895, 0.0,
+        0.16666666666666666, 0.0, 0.08333333333333333, 0.25, 0.375, 0.25,
+        0.31250000000000006,
+    ],
+    "monotone_grid": [
+        0.0, 0.07142857142857142, 0.13095238095238096, 0.16666666666666663,
+        0.1500000000000001, 0.1333333333333335, 0.11666666666666682, 0.10000000000000013,
+        0.05, 0.11785714285714287, 0.17440476190476195, 0.20833333333333326,
+        0.19250000000000012, 0.17666666666666683, 0.1608333333333335, 0.14500000000000016,
+        0.13333333333333333, 0.19642857142857142, 0.249404761904762, 0.2816666666666666,
+        0.2675, 0.2533333333333335, 0.23861111111111136, 0.2235714285714288,
+        0.20000000000000004, 0.26071428571428573, 0.3124999999999999, 0.34499999999999975,
+        0.3316666666666666, 0.31799999999999995, 0.3036111111111115, 0.2888095238095239,
+        0.21428571428571427, 0.2765306122448981, 0.32942176870748313, 0.36238095238095275,
+        0.3485714285714286, 0.33447619047619026, 0.3197619047619044, 0.30469387755102023,
+        0.18, 0.24499999999999997, 0.29988095238095236, 0.33366666666666667,
+        0.3190000000000001, 0.3041333333333335, 0.2888333333333334, 0.2732857142857141,
+        0.14285714285714304, 0.20969387755102062, 0.26590136054421787, 0.3002380952380953,
+        0.2849999999999999, 0.26961904761904787, 0.2539285714285713, 0.23806122448979594,
+        0.10000000000000003, 0.16821428571428582, 0.22541666666666674, 0.26016666666666666,
+        0.2445000000000001, 0.2287333333333331, 0.21275, 0.19664285714285712,
+    ],
+}
+
+
+@pytest.mark.parametrize(
+    "name,builder",
+    [("two_sensor", fixtures.two_sensor_spec), ("monotone_grid", _monotone_grid_spec)],
+)
+def test_probed_values_pinned(name, builder):
+    probed = cs.compare_policies(builder()).probed_values
+    assert len(probed) == len(PINNED_PROBES[name])
+    assert np.allclose(probed, PINNED_PROBES[name], rtol=0, atol=1e-12)
+
+
+def test_probe_grid_cap():
+    # 3^20 strategies, pruned to 66^2 = 4356 monotone ones for the LP, which
+    # is still past the probe grid's cap
+    levels = np.arange(10, dtype=float)
+    spec = cs.ProblemSpec(
+        action_sizes=(3, 3),
+        event_sizes=(10, 10),
+        distribution=cs.ProductDistribution((np.full(10, 0.1), np.full(10, 0.1))),
+        penalties=(
+            cs.MinSumUtilityNeg(weights=(levels / 10.0, levels / 20.0), cap=100.0),
+            cs.PowerPerUser(0),
+            cs.PowerPerUser(1),
+        ),
+        constraints=(0.5, 0.5),
+    )
+    assert cs.prune_applicable(spec)
+    with pytest.raises(cs.CapExceeded) as info:
+        cs.compare_policies(spec)
+    assert (info.value.size, info.value.cap) == (4356, 4096)
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 10**6))
+def test_corner_mixture_matches_independent_policy(seed):
+    gen = np.random.default_rng(seed)
+    spec = random_spec(gen, max_users=3, strategy_cap=64, anchor="pure")
+    seen = []
+    ascend = analysis._ascend_mixture
+
+    def spy(spec_, corners):
+        seen.append(corners)
+        return ascend(spec_, corners)
+
+    with mock.patch.object(analysis, "_ascend_mixture", spy):
+        cs.compare_policies(spec)
+    grid = cs.enumerate_all(spec)
+    assert len(seen) == len(grid)
+    for row, corners in zip(grid, seen):
+        etas = gen.uniform(0.0, 1.0, spec.n_users)
+        conditionals = []
+        for eta, base, a in zip(etas, cs.user_maps(spec, row), spec.action_sizes):
+            idle = np.eye(a)[np.zeros_like(base)]
+            conditionals.append((1.0 - eta) * idle + eta * np.eye(a)[base])
+        want = cs.evaluate_independent_policy(spec, conditionals)
+        assert np.allclose(analysis._mix(corners, etas), want, rtol=0, atol=1e-12)
 
 
 def test_epsilon_max_two_sensor(two_sensor):

@@ -217,6 +217,9 @@ def test_cli_simulate_ensemble_with_phases(tmp_path, capsys):
     assert (tmp_path / "ens.metrics").exists()
     trace = np.loadtxt(tmp_path / "ens.trace.csv", delimiter=",", skiprows=1)
     assert trace.shape == (600, 1 + 1 + 2 + 1)  # t, mean_u, mean_p x2, mean_qnorm
+    # SHA-256 of the CSV written before write_ensemble served the CLI and scripts
+    digest = hashlib.sha256((tmp_path / "ens.trace.csv").read_bytes()).hexdigest()
+    assert digest == "59e318f350d355eca0eeee31d7a871b2953bd9356e9e5b658c1c4c002edf61db"
     obj = json.loads((tmp_path / "ens.metrics").read_text())
     assert obj["runs"] == 5
     assert len(obj["per_run_utility"]) == 5
@@ -364,3 +367,20 @@ def test_cli_run_config_not_an_object_is_one_line(tmp_path, capsys):
             "--spec", str(FIXDIR / "two_sensor.json"), "--config", config]
     err = _cli_error(capsys, argv)
     assert f"ValueError: {config}: expected a JSON object, not list" in err
+
+
+@pytest.mark.parametrize(
+    "config,field",
+    [
+        ({"v": [1], "delay": 0}, "v"),
+        ({"v": 1.0, "delay": 0, "mode": "approx", "window": "5"}, "window"),
+        ({"v": 1.0, "delay": "x"}, "delay"),
+        ({"v": 1.0, "delay": 0, "prune": "bogus"}, "prune"),
+    ],
+)
+def test_cli_run_config_field_of_wrong_type_is_one_line(tmp_path, capsys, config, field):
+    path = _spec_file(tmp_path, config, name="run.metrics")
+    argv = ["analyze", "--trace", str(tmp_path / "run.trace.csv"),
+            "--spec", str(FIXDIR / "two_sensor.json"), "--config", path]
+    err = _cli_error(capsys, argv)
+    assert f"ValueError: {path}: field {field!r}: " in err
