@@ -35,7 +35,7 @@ from .strategy import (
     r_matrix,
     user_maps,
 )
-from .simplex import Infeasible, LpProblem, LpSolution, LpStatus, solve_lp
+from .simplex import Infeasible, IterationLimit, LpProblem, LpSolution, LpStatus, solve_lp
 from .optimizer import (
     CentralizedPolicy,
     CorrelatedPolicy,

@@ -57,72 +57,73 @@ def verify_counterexample() -> tuple[float, float]:
     return centralized.utility, distributed.utility
 
 
-def _mix(corners: np.ndarray, etas: np.ndarray) -> np.ndarray:
-    """Expected penalties when user i plays its base map w.p. etas[i] and idles otherwise.
+def _mix(corners: np.ndarray, etas: np.ndarray, keep: int | None = None) -> np.ndarray:
+    """Expected penalties of P probes when user i of probe p plays its base map w.p. etas[p, i].
 
-    corners[b_0, ..., b_{n-1}] is r of the pure strategy in which exactly the
-    users with b_i = 1 play their base maps; contracting one user axis at a
-    time gives sum_S prod_{i in S} eta_i prod_{i not in S} (1 - eta_i) r_S.
+    corners[p, b_0, ..., b_{n-1}] is r of probe p's pure strategy in which
+    exactly the users with b_i = 1 play their base maps (the others idle);
+    contracting one user axis at a time gives, per probe,
+    sum_S prod_{i in S} eta_i prod_{i not in S} (1 - eta_i) r_S, shape (P, K+1).
+    With keep=i, user i's axis is left in place: (P, 2, K+1), its eta_i at 0 and 1.
     """
-    for eta in etas:
-        corners = (1.0 - eta) * corners[0] + eta * corners[1]
+    axis = 1
+    for i, eta in enumerate(etas.T):
+        if i == keep:
+            axis = 2
+            continue
+        eta = eta.reshape((-1,) + (1,) * (corners.ndim - 2))
+        head = (slice(None),) * axis
+        corners = (1.0 - eta) * corners[head + (0,)] + eta * corners[head + (1,)]
     return corners
 
 
-def _ascend_mixture(spec: ProblemSpec, corners: np.ndarray, tol: float = 1e-9) -> np.ndarray | None:
-    """Maximize utility over per-user activation probabilities, exactly.
+def _ascend_mixture(spec: ProblemSpec, corners: np.ndarray, tol: float = 1e-9) -> np.ndarray:
+    """Maximize utility over per-user activation probabilities, exactly, for P probes at once.
 
     Expected penalties are affine in each eta_i with the others held fixed,
     so every coordinate step solves a closed-form interval problem; ascent
-    stops at a coordinatewise optimum.  Tries the all-idle and all-active
-    starting points; returns the best feasible expected-penalty vector, or
-    None when neither start is feasible.
+    stops at a coordinatewise optimum.  Every probe is tried from the all-idle
+    and the all-active start; the 2P lanes step through the same sweeps in
+    lockstep, and a lane stops (keeps its etas) after a sweep that changed
+    nothing, after 40 sweeps, or at once when its start is infeasible.
+    Returns the best feasible expected-penalty vector of every probe,
+    (P, K+1), with a NaN row where neither start is feasible.
     """
     c = np.asarray(spec.constraints, dtype=float)
-    k = spec.n_constraints
-    best: np.ndarray | None = None
-    for start in (0.0, 1.0):
-        etas = np.full(spec.n_users, start)
-        r = _mix(corners, etas)
-        if k and np.any(r[1:] > c + tol):
-            continue
+    n_probes, n = len(corners), spec.n_users
+    lanes = np.concatenate((corners, corners))
+    etas = np.zeros((2 * n_probes, n))
+    etas[n_probes:] = 1.0  # lane p starts all-idle, lane P + p all-active
+    start = ~np.any(_mix(lanes, etas)[:, 1:] > c + tol, axis=1)
+    active = start.copy()
+    with np.errstate(divide="ignore", invalid="ignore"):
         for _ in range(40):
-            changed = False
-            for i in range(spec.n_users):
-                save = etas[i]
-                etas[i] = 0.0
-                r0 = _mix(corners, etas)
-                etas[i] = 1.0
-                r1 = _mix(corners, etas)
-                slope = r1 - r0
-                lo, hi = 0.0, 1.0
-                ok = True
-                for j in range(k):
-                    b = slope[1 + j]
-                    a = r0[1 + j]
-                    if b > tol:
-                        hi = min(hi, (c[j] - a) / b)
-                    elif b < -tol:
-                        lo = max(lo, (c[j] - a) / b)
-                    elif a > c[j] + tol:
-                        ok = False
-                if not ok or lo > hi + tol:
-                    etas[i] = save
-                    continue
-                hi = min(hi, 1.0)
-                lo = max(lo, 0.0)
-                new = hi if slope[0] < 0 else lo
-                new = min(max(new, lo), hi)
-                if abs(new - save) > 1e-12:
-                    changed = True
-                etas[i] = new
-            if not changed:
+            changed = np.zeros_like(active)
+            for i in range(n):
+                pair = _mix(lanes, etas, keep=i)
+                r0 = pair[:, 0]
+                slope = pair[:, 1] - r0
+                a, b = r0[:, 1:], slope[:, 1:]
+                ratio = (c - a) / b
+                hi = np.where(b > tol, ratio, 1.0).min(axis=1, initial=1.0)
+                lo = np.where(b < -tol, ratio, 0.0).max(axis=1, initial=0.0)
+                stuck = np.any((np.abs(b) <= tol) & (a > c + tol), axis=1)
+                move = active & ~stuck & ~(lo > hi + tol)
+                new = np.minimum(np.maximum(np.where(slope[:, 0] < 0, hi, lo), lo), hi)
+                save = etas[:, i]
+                changed |= move & (np.abs(new - save) > 1e-12)
+                etas[:, i] = np.where(move, new, save)
+            active &= changed
+            if not active.any():
                 break
-        r = _mix(corners, etas)
-        if k and np.any(r[1:] > c + 1e-9):
-            continue
-        if best is None or r[0] < best[0]:
-            best = r
+    r = _mix(lanes, etas)
+    ok = start & ~np.any(r[:, 1:] > c + 1e-9, axis=1)
+    idle, busy = r[:n_probes], r[n_probes:]
+    ok_idle, ok_busy = ok[:n_probes], ok[n_probes:]
+    # the all-idle start wins ties, as it is tried first
+    take_busy = ok_busy & (~ok_idle | (busy[:, 0] < idle[:, 0]))
+    best = np.where(take_busy[:, None], busy, idle)
+    best[~(ok_idle | ok_busy)] = np.nan
     return best
 
 
@@ -135,25 +136,34 @@ def compare_policies(spec: ProblemSpec) -> ComparisonReport:
     exceed the correlated optimum.  The base maps are the rows of one grid
     (every strategy, or the non-decreasing ones past PROBE_COMBO_CAP).  Map 0
     of every user idles, so each mixture's corners are grid rows as well and
-    one r_matrix over the grid prices every mixture.
+    one r_matrix over the grid prices every mixture; when the grid is the
+    LP's own strategy set, that r feeds the LP too.  All probes then ascend
+    together in one lockstep batch (several when their corner rows pass
+    PROBE_COMBO_CAP).
     """
-    strategies = (
-        enumerate_nondecreasing(spec) if prune_applicable(spec) else enumerate_all(spec)
-    )
-    distributed = solve_distributed_lp(spec, strategies)
-    centralized = solve_centralized_lp(spec)
+    pruned = prune_applicable(spec)
+    strategies = enumerate_nondecreasing(spec) if pruned else enumerate_all(spec)
     monotone = count_all(spec) > PROBE_COMBO_CAP
-    grid = enumerate_nondecreasing(spec, PROBE_COMBO_CAP) if monotone else enumerate_all(spec)
-    r = r_matrix(spec, grid)
+    shared = not (pruned or monotone)  # the probe grid is the LP's strategy set
+    r = r_matrix(spec, strategies) if shared else None
+    distributed = solve_distributed_lp(spec, strategies, r=r)
+    centralized = solve_centralized_lp(spec)
+    if not shared:
+        grid = enumerate_nondecreasing(spec, PROBE_COMBO_CAP) if monotone else enumerate_all(spec)
+        r = r_matrix(spec, grid)
     counts = user_map_counts(spec, monotone)
     n = spec.n_users
-    subsets = np.indices((2,) * n).reshape(n, -1)  # column s: which users play their base map
-    probed: list[float] = []
-    for picks in np.indices(counts).reshape(n, -1).T:  # grid order, user 0 slowest
-        corners = r[np.ravel_multi_index(picks[:, None] * subsets, counts)]
-        best = _ascend_mixture(spec, corners.reshape((2,) * n + r.shape[1:]))
-        if best is not None:
-            probed.append(float(-best[0]))
+    picks = np.indices(counts).reshape(n, -1, 1)  # probes in grid order, user 0 slowest
+    subsets = np.indices((2,) * n).reshape(n, 1, -1)  # which users play their base map
+    # probes go in batches of at most PROBE_COMBO_CAP corner rows, so the
+    # corners never outgrow a full grid's r however many users there are
+    step = max(1, PROBE_COMBO_CAP >> n)
+    best = []
+    for lo in range(0, len(r), step):
+        corners = r[np.ravel_multi_index(picks[:, lo : lo + step] * subsets, counts)]
+        best.append(_ascend_mixture(spec, corners.reshape((-1,) + (2,) * n + r.shape[1:])))
+    values = -np.concatenate(best)[:, 0]
+    probed = values[~np.isnan(values)].tolist()
     if not probed:
         raise Infeasible("no feasible independent policy found on the probe grid")
     return ComparisonReport(

@@ -12,7 +12,7 @@ from . import analysis, fileio
 from .online import DppConfig, NotSeparable
 from .optimizer import solve_distributed_lp
 from .problem import CapExceeded, validate_spec
-from .simplex import Infeasible
+from .simplex import Infeasible, IterationLimit
 from .simulator import SimConfig, read_trace, run_ensemble, run_episode, write_ensemble, write_trace
 from .strategy import enumerate_all, enumerate_nondecreasing, prune_applicable
 
@@ -190,9 +190,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-# Failures caused by the input (files, specs, sizes, options): reported as one
-# line and exit code 2, like argparse's own usage errors.
-_INPUT_ERRORS = (KeyError, ValueError, Infeasible, CapExceeded, NotSeparable, OSError)
+# Failures caused by the input (files, specs, sizes, options), and an LP the
+# simplex could not finish within its pivot limit: reported as one line and
+# exit code 2, like argparse's own usage errors.
+_INPUT_ERRORS = (
+    KeyError, ValueError, Infeasible, CapExceeded, NotSeparable, OSError, IterationLimit
+)
 
 
 def _error_line(exc: Exception) -> str:

@@ -121,7 +121,9 @@ def _object(obj) -> dict[str, Any]:
 
 
 def _field(obj: dict[str, Any], key: str, convert):
-    """convert(obj[key]); a value of the wrong shape raises ValueError naming the key."""
+    """convert(obj[key]); a missing key or a value of the wrong shape raises ValueError."""
+    if key not in obj:
+        raise ValueError(f"missing key {key!r}")
     value = obj[key]
     try:
         return convert(value)
@@ -228,8 +230,10 @@ def save_metrics(metrics: Metrics, path, config: dict[str, Any] | None = None) -
 
 
 PRUNE_CHOICES = ("auto", "off", "force")
-# JSON types of the run-config fields an analysis reads; other entries pass through
+# JSON types of the run-config fields an analysis reads, of which v and delay
+# must be present; other entries pass through
 _RUN_TYPES = dict(v=(int, float), delay=int, window=(int, type(None)), mode=str, prune=str)
+_RUN_REQUIRED = ("v", "delay")
 
 
 def _run_field(config: dict[str, Any], key: str):
@@ -248,7 +252,7 @@ def load_run_config(path) -> dict[str, Any]:
 
     def parse(obj):
         config = _field(obj, "config", _object) if "config" in obj else obj
-        return {key: _run_field(config, key) if key in _RUN_TYPES else value
-                for key, value in config.items()}
+        checked = [key for key in _RUN_TYPES if key in config or key in _RUN_REQUIRED]
+        return {**config, **{key: _run_field(config, key) for key in checked}}
 
     return _load(path, parse)

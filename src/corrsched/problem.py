@@ -10,6 +10,7 @@ with user 0 most significant; dense penalty tables are indexed
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Sequence, Union
 
@@ -37,7 +38,7 @@ def joint_strides(sizes: Sequence[int]) -> np.ndarray:
 
 def joint_components(sizes: Sequence[int]) -> np.ndarray:
     """Per-user components of every flat index, shape (prod(sizes), n_users)."""
-    n = int(np.prod(sizes))
+    n = math.prod(sizes)
     return np.array(np.unravel_index(np.arange(n), tuple(sizes))).T
 
 
@@ -160,8 +161,8 @@ class FullTable:
         object.__setattr__(self, "values", np.asarray(self.values, dtype=float))
 
     def expand(self, action_sizes, event_sizes) -> np.ndarray:
-        n_omega = int(np.prod(event_sizes))
-        n_alpha = int(np.prod(action_sizes))
+        n_omega = math.prod(event_sizes)
+        n_alpha = math.prod(action_sizes)
         if self.values.shape != (n_omega, n_alpha):
             raise ValueError(
                 f"table shape {self.values.shape} != ({n_omega}, {n_alpha})"
@@ -185,7 +186,7 @@ class PowerPerUser:
     kind = "power_per_user"
 
     def expand(self, action_sizes, event_sizes) -> np.ndarray:
-        n_omega = int(np.prod(event_sizes))
+        n_omega = math.prod(event_sizes)
         comp = joint_components(action_sizes)[:, self.user].astype(float)
         return np.tile(comp, (n_omega, 1))
 
@@ -214,7 +215,7 @@ class MinSumUtilityNeg:
     def expand(self, action_sizes, event_sizes) -> np.ndarray:
         omega_comp = joint_components(event_sizes)
         alpha_comp = joint_components(action_sizes)
-        total = np.zeros((int(np.prod(event_sizes)), int(np.prod(action_sizes))))
+        total = np.zeros((math.prod(event_sizes), math.prod(action_sizes)))
         for i, w in enumerate(self.weights):
             total += np.outer(w[omega_comp[:, i]], alpha_comp[:, i])
         return -np.minimum(total, self.cap)
@@ -265,7 +266,7 @@ class WeightedSum:
     kind = "weighted_sum"
 
     def expand(self, action_sizes, event_sizes) -> np.ndarray:
-        out = np.zeros((int(np.prod(event_sizes)), int(np.prod(action_sizes))))
+        out = np.zeros((math.prod(event_sizes), math.prod(action_sizes)))
         for w, child in zip(self.coefficients, self.children):
             out += w * child.expand(action_sizes, event_sizes)
         return out
@@ -343,11 +344,11 @@ class ProblemSpec:
 
     @property
     def n_actions(self) -> int:
-        return int(np.prod(self.action_sizes))
+        return math.prod(self.action_sizes)
 
     @property
     def n_events(self) -> int:
-        return int(np.prod(self.event_sizes))
+        return math.prod(self.event_sizes)
 
 
 @dataclass

@@ -28,6 +28,17 @@ class Infeasible(Exception):
     """Raised by wrappers that cannot return a policy for an infeasible LP."""
 
 
+class IterationLimit(RuntimeError):
+    """The simplex made its pivot limit in one phase without reaching an optimum."""
+
+    def __init__(self, phase: int, pivots: int):
+        super().__init__(
+            f"simplex phase {phase} stopped at its iteration limit after {pivots} pivots"
+        )
+        self.phase = phase
+        self.pivots = pivots
+
+
 @dataclass(frozen=True, eq=False)
 class LpProblem:
     cost: np.ndarray
@@ -74,16 +85,22 @@ def _pivot(tab: np.ndarray, row: int, col: int) -> None:
     tab[row, col] = 1.0
 
 
-def _iterate(tab: np.ndarray, basis: np.ndarray, cost: np.ndarray) -> LpStatus:
+def _iteration_limit(m: int, n: int) -> int:
+    """Pivots one phase may make on an (m, n+1) tableau."""
+    return 1000 + 50 * (m + n)
+
+
+def _iterate(tab: np.ndarray, basis: np.ndarray, cost: np.ndarray, phase: int) -> LpStatus:
     """Run Bland-rule pivots to optimality or unboundedness.
 
     tab is the augmented (m, n+1) tableau kept in basis-reduced form; basis
     lists the basic variable of each row.  Bland's rule (smallest entering
     index, smallest-index leaving variable on ratio ties) precludes cycling.
+    Raises IterationLimit, naming the phase, when the pivots run out.
     """
     m, w = tab.shape
     n = w - 1
-    max_iter = 1000 + 50 * (m + n)
+    max_iter = _iteration_limit(m, n)
     for _ in range(max_iter):
         y = cost[basis] @ tab[:, :n]
         reduced = cost[:n] - y
@@ -102,7 +119,7 @@ def _iterate(tab: np.ndarray, basis: np.ndarray, cost: np.ndarray) -> LpStatus:
         leave = int(ties[np.argmin(basis[ties])])
         _pivot(tab, leave, j)
         basis[leave] = j
-    raise RuntimeError("simplex iteration limit reached")
+    raise IterationLimit(phase, max_iter)
 
 
 def solve_lp(problem: LpProblem) -> LpSolution:
@@ -144,7 +161,7 @@ def solve_lp(problem: LpProblem) -> LpSolution:
     if n_art:
         cost1 = np.zeros(n_sl + n_art)
         cost1[n_sl:] = 1.0
-        status = _iterate(tab, basis, cost1)
+        status = _iterate(tab, basis, cost1, phase=1)
         if status is not LpStatus.OPTIMAL:  # phase 1 is always bounded below by 0
             raise RuntimeError("phase 1 terminated abnormally")
         if float(cost1[basis] @ tab[:, -1]) > FEAS_TOL:
@@ -164,7 +181,7 @@ def solve_lp(problem: LpProblem) -> LpSolution:
 
     cost2 = np.zeros(n_sl)
     cost2[:n] = problem.cost
-    status = _iterate(tab, basis, cost2)
+    status = _iterate(tab, basis, cost2, phase=2)
     if status is LpStatus.UNBOUNDED:
         return LpSolution(status=status)
 

@@ -6,10 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import corrsched as cs
-from corrsched import analysis, fixtures
+from corrsched import analysis, fixtures, optimizer
 from corrsched.simplex import LpProblem, LpStatus, solve_lp
 
-from specgen import random_separable_spec, random_spec
+import probe_oracle
+from specgen import feasible_constraints, random_preferred_spec, random_separable_spec, random_spec
 
 
 def test_verify_counterexample_exact():
@@ -159,30 +160,100 @@ def test_probe_grid_cap():
     assert (info.value.size, info.value.cap) == (4356, 4096)
 
 
+def _spy_ascent(spec):
+    """The (corners, result) of every _ascend_mixture call compare_policies makes."""
+    calls = []
+    ascend = analysis._ascend_mixture
+
+    def spy(spec_, corners):
+        calls.append((corners, ascend(spec_, corners)))
+        return calls[-1][1]
+
+    with mock.patch.object(analysis, "_ascend_mixture", spy):
+        cs.compare_policies(spec)
+    return calls
+
+
 @settings(max_examples=25, deadline=None)
 @given(seed=st.integers(0, 10**6))
 def test_corner_mixture_matches_independent_policy(seed):
     gen = np.random.default_rng(seed)
     spec = random_spec(gen, max_users=3, strategy_cap=64, anchor="pure")
-    seen = []
-    ascend = analysis._ascend_mixture
-
-    def spy(spec_, corners):
-        seen.append(corners)
-        return ascend(spec_, corners)
-
-    with mock.patch.object(analysis, "_ascend_mixture", spy):
-        cs.compare_policies(spec)
+    [(corners, _)] = _spy_ascent(spec)
     grid = cs.enumerate_all(spec)
-    assert len(seen) == len(grid)
-    for row, corners in zip(grid, seen):
-        etas = gen.uniform(0.0, 1.0, spec.n_users)
+    assert len(corners) == len(grid)
+    etas = gen.uniform(0.0, 1.0, (len(grid), spec.n_users))
+    mixed = analysis._mix(corners, etas)
+    for row, lane, eta_row in zip(grid, mixed, etas):
         conditionals = []
-        for eta, base, a in zip(etas, cs.user_maps(spec, row), spec.action_sizes):
+        for eta, base, a in zip(eta_row, cs.user_maps(spec, row), spec.action_sizes):
             idle = np.eye(a)[np.zeros_like(base)]
             conditionals.append((1.0 - eta) * idle + eta * np.eye(a)[base])
         want = cs.evaluate_independent_policy(spec, conditionals)
-        assert np.allclose(analysis._mix(corners, etas), want, rtol=0, atol=1e-12)
+        assert np.allclose(lane, want, rtol=0, atol=1e-12)
+
+
+def _assert_ascent_matches_oracle(spec):
+    calls = _spy_ascent(spec)
+    for corners, best in calls:
+        assert best.shape == (len(corners), spec.n_constraints + 1)
+        for probe, got in zip(corners, best):
+            want = probe_oracle.ascend_mixture(spec, probe)
+            if want is None:
+                assert np.all(np.isnan(got))
+            else:
+                assert np.array_equal(got, want)
+    return calls
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 10**6), preferred=st.booleans())
+def test_batched_ascent_matches_scalar_oracle(seed, preferred):
+    gen = np.random.default_rng(seed)
+    if preferred:  # prune_applicable holds, so the LP runs on the monotone set
+        spec = random_preferred_spec(gen, anchor="pure")
+    else:
+        spec = random_spec(gen, max_users=3, strategy_cap=64, anchor="pure")
+    assert len(_assert_ascent_matches_oracle(spec)) == 1
+
+
+def test_batched_ascent_matches_scalar_oracle_on_monotone_grid():
+    assert len(_assert_ascent_matches_oracle(_monotone_grid_spec())) == 1
+
+
+def test_probe_batches_bound_the_corner_rows():
+    # 7 one-event binary users: 128 probes x 2^7 corners = 16,384 corner rows,
+    # four batches of 32 probes under PROBE_COMBO_CAP = 4096 rows each
+    gen = np.random.default_rng(7)
+    n = 7
+    shape = dict(
+        action_sizes=(2,) * n,
+        event_sizes=(1,) * n,
+        distribution=cs.ProductDistribution((np.ones(1),) * n),
+        penalties=(
+            cs.FullTable(gen.uniform(-1.0, 1.0, (1, 2**n))),
+            cs.FullTable(gen.uniform(0.0, 1.0, (1, 2**n))),
+        ),
+    )
+    stub = cs.ProblemSpec(**shape, constraints=(0.0,))
+    spec = cs.ProblemSpec(**shape, constraints=feasible_constraints(gen, stub, 1, anchor="pure"))
+    calls = _assert_ascent_matches_oracle(spec)
+    assert [len(corners) for corners, _ in calls] == [32] * 4
+
+
+@pytest.mark.parametrize("seed", [None, 1, 2])
+def test_compare_policies_prices_unpruned_set_once(seed):
+    if seed is None:
+        spec = fixtures.counterexample_spec()
+    else:
+        spec = random_spec(np.random.default_rng(seed), strategy_cap=64, anchor="pure")
+    assert not cs.prune_applicable(spec)
+    assert len(cs.enumerate_all(spec)) <= analysis.PROBE_COMBO_CAP
+    with mock.patch.object(analysis, "r_matrix", wraps=cs.r_matrix) as probe_r, \
+            mock.patch.object(optimizer, "r_matrix", wraps=cs.r_matrix) as lp_r:
+        report = cs.compare_policies(spec)
+    assert (probe_r.call_count, lp_r.call_count) == (1, 0)
+    assert report.distributed_opt == cs.solve_distributed_lp(spec, cs.enumerate_all(spec)).utility
 
 
 def test_epsilon_max_two_sensor(two_sensor):

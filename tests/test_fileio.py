@@ -1,12 +1,13 @@
 import hashlib
 import json
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 
 import corrsched as cs
-from corrsched import fileio, fixtures
+from corrsched import fileio, fixtures, simplex
 from corrsched.problem import penalty_tables
 
 from specgen import random_spec
@@ -384,3 +385,19 @@ def test_cli_run_config_field_of_wrong_type_is_one_line(tmp_path, capsys, config
             "--spec", str(FIXDIR / "two_sensor.json"), "--config", path]
     err = _cli_error(capsys, argv)
     assert f"ValueError: {path}: field {field!r}: " in err
+
+
+@pytest.mark.parametrize("config,field", [({"delay": 0}, "v"), ({"v": 1.0}, "delay")])
+def test_cli_run_config_missing_field_is_one_line(tmp_path, capsys, config, field):
+    path = _spec_file(tmp_path, config, name="run.metrics")
+    argv = ["analyze", "--trace", str(tmp_path / "run.trace.csv"),
+            "--spec", str(FIXDIR / "two_sensor.json"), "--config", path]
+    err = _cli_error(capsys, argv)
+    assert f"ValueError: {path}: missing key {field!r}" in err
+
+
+def test_cli_simplex_iteration_limit_is_one_line(tmp_path, capsys):
+    argv = ["solve", "--spec", str(FIXDIR / "two_sensor.json"), "--out", str(tmp_path / "x.json")]
+    with mock.patch.object(simplex, "_iteration_limit", lambda m, n: 0):
+        err = _cli_error(capsys, argv)
+    assert "IterationLimit: simplex phase 1 stopped at its iteration limit after 0 pivots" in err

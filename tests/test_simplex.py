@@ -1,10 +1,12 @@
 import itertools
+from unittest import mock
 
 import numpy as np
 import pytest
 
 import corrsched as cs
-from corrsched.simplex import LpProblem, LpStatus, solve_lp
+from corrsched import simplex
+from corrsched.simplex import IterationLimit, LpProblem, LpStatus, solve_lp
 
 
 def brute_force_lp(problem, tol=1e-9):
@@ -211,3 +213,16 @@ def test_complementary_slackness(two_sensor, rng):
         assert np.max(np.abs(reduced * sol.x)) <= 1e-7
         assert np.max(np.abs(sol.duals_ub * sol.slack_ub)) <= 1e-7
     assert checked >= 10
+
+
+@pytest.mark.parametrize("limit,phase", [(0, 1), (1, 1), (2, 2), (3, 2)])
+def test_iteration_limit_is_typed(two_sensor, limit, phase):
+    # the two-sensor LP needs an artificial for its equality row, so phase 1
+    # runs first: it takes one pivot, phase 2 three, and each phase spends one
+    # more loop pass finding that it is optimal; a limit of 4 solves it
+    spec, strategies = two_sensor
+    with mock.patch.object(simplex, "_iteration_limit", lambda m, n: limit):
+        with pytest.raises(IterationLimit) as info:
+            cs.solve_distributed_lp(spec, strategies)
+    assert (info.value.phase, info.value.pivots) == (phase, limit)
+    assert f"phase {phase}" in str(info.value)
