@@ -20,14 +20,10 @@ from .problem import (
     ProductForm,
     ValidationReport,
     WeightedSum,
-    eval_penalty,
-    event_probability,
-    sample_event,
     validate_spec,
 )
 from .strategy import (
     check_preferred_action,
-    compute_r_vector,
     drop_act_on_zero,
     enumerate_all,
     enumerate_nondecreasing,
@@ -40,7 +36,6 @@ from .optimizer import (
     CentralizedPolicy,
     CorrelatedPolicy,
     brute_force_distributed_oracle,
-    evaluate_independent_policy,
     sample_strategies,
     sample_strategy,
     solve_centralized_lp,
@@ -49,19 +44,11 @@ from .optimizer import (
 from .online import (
     DppConfig,
     NotSeparable,
-    QueueState,
     RollingEstimator,
-    advance_queues,
-    approx_update_and_select,
     compute_B,
     compute_F,
-    dpp_select,
-    initial_queue_state,
     performance_bound,
-    queue_update,
     separable_components,
-    separable_select,
-    separable_strategy,
     slater_queue_bound,
 )
 from .simulator import (

@@ -29,6 +29,7 @@ from .strategy import (
 )
 
 PROBE_COMBO_CAP = 4096
+ASCENT_TOL = 1e-9
 
 
 @dataclass(eq=False)
@@ -77,7 +78,7 @@ def _mix(corners: np.ndarray, etas: np.ndarray, keep: int | None = None) -> np.n
     return corners
 
 
-def _ascend_mixture(spec: ProblemSpec, corners: np.ndarray, tol: float = 1e-9) -> np.ndarray:
+def _ascend_mixture(spec: ProblemSpec, corners: np.ndarray) -> np.ndarray:
     """Maximize utility over per-user activation probabilities, exactly, for P probes at once.
 
     Expected penalties are affine in each eta_i with the others held fixed,
@@ -94,7 +95,7 @@ def _ascend_mixture(spec: ProblemSpec, corners: np.ndarray, tol: float = 1e-9) -
     lanes = np.concatenate((corners, corners))
     etas = np.zeros((2 * n_probes, n))
     etas[n_probes:] = 1.0  # lane p starts all-idle, lane P + p all-active
-    start = ~np.any(_mix(lanes, etas)[:, 1:] > c + tol, axis=1)
+    start = ~np.any(_mix(lanes, etas)[:, 1:] > c + ASCENT_TOL, axis=1)
     active = start.copy()
     with np.errstate(divide="ignore", invalid="ignore"):
         for _ in range(40):
@@ -105,10 +106,10 @@ def _ascend_mixture(spec: ProblemSpec, corners: np.ndarray, tol: float = 1e-9) -
                 slope = pair[:, 1] - r0
                 a, b = r0[:, 1:], slope[:, 1:]
                 ratio = (c - a) / b
-                hi = np.where(b > tol, ratio, 1.0).min(axis=1, initial=1.0)
-                lo = np.where(b < -tol, ratio, 0.0).max(axis=1, initial=0.0)
-                stuck = np.any((np.abs(b) <= tol) & (a > c + tol), axis=1)
-                move = active & ~stuck & ~(lo > hi + tol)
+                hi = np.where(b > ASCENT_TOL, ratio, 1.0).min(axis=1, initial=1.0)
+                lo = np.where(b < -ASCENT_TOL, ratio, 0.0).max(axis=1, initial=0.0)
+                stuck = np.any((np.abs(b) <= ASCENT_TOL) & (a > c + ASCENT_TOL), axis=1)
+                move = active & ~stuck & ~(lo > hi + ASCENT_TOL)
                 new = np.minimum(np.maximum(np.where(slope[:, 0] < 0, hi, lo), lo), hi)
                 save = etas[:, i]
                 changed |= move & (np.abs(new - save) > 1e-12)
@@ -178,47 +179,29 @@ def epsilon_max(
     spec: ProblemSpec,
     strategies: np.ndarray,
     r: np.ndarray | None = None,
-    tol: float = 1e-6,
 ) -> float:
     """Largest uniform constraint slack that keeps the strategy LP feasible.
 
-    Bisects on the slack; each probe is a phase-1 feasibility solve of the
-    tightened LP.  Positive slack is the Slater condition.
+    One LP over (theta, eps): maximize eps subject to r_k . theta + eps <= c_k,
+    sum(theta) = 1, theta >= 0 and eps >= 0.  Positive slack is the Slater
+    condition.
     """
     if spec.n_constraints == 0:
         raise ValueError("needs at least one constraint")
     if r is None:
         r = r_matrix(spec, strategies)
-    c = np.asarray(spec.constraints, dtype=float)
-    m = len(strategies)
-
-    def feasible(eps: float) -> bool:
-        lp = LpProblem(
-            cost=np.zeros(m),
-            a_ub=r[:, 1:].T,
-            b_ub=c - eps,
-            a_eq=np.ones((1, m)),
-            b_eq=np.array([1.0]),
-        )
-        return solve_lp(lp).status is LpStatus.OPTIMAL
-
-    if not feasible(0.0):
+    m, k = len(r), spec.n_constraints
+    lp = LpProblem(
+        cost=np.append(np.zeros(m), -1.0),
+        a_ub=np.column_stack((r[:, 1:].T, np.ones(k))),
+        b_ub=np.asarray(spec.constraints, dtype=float),
+        a_eq=np.append(np.ones(m), 0.0)[None, :],
+        b_eq=np.array([1.0]),
+    )
+    sol = solve_lp(lp)
+    if sol.status is not LpStatus.OPTIMAL:
         raise Infeasible("constraints are infeasible even with zero slack")
-    hi = float(np.min(c - r[:, 1:].min(axis=0))) + tol
-    if hi <= 0:
-        return 0.0
-    lo = 0.0
-    while feasible(hi):  # numerical safety; hi is infeasible in exact arithmetic
-        hi *= 2.0
-        if hi > 1e12:
-            return math.inf
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if feasible(mid):
-            lo = mid
-        else:
-            hi = mid
-    return lo
+    return float(sol.x[-1])
 
 
 @dataclass(eq=False)

@@ -123,20 +123,3 @@ def adaptation_phases(horizon: int = 12000, switches: tuple[int, int] = (4000, 8
     s1, s2 = switches
     return [Phase(0, s1, base), Phase(s1, s2, alt), Phase(s2, horizon, base)]
 
-
-def report_if_observed_policy(
-    spec: ProblemSpec, probs: tuple[float, ...]
-) -> list[np.ndarray]:
-    """Independent baseline: user i reports w.p. probs[i] on a nonzero event.
-
-    Returns per-user conditional action tables for binary-action specs; the
-    zero event always maps to idle.
-    """
-    conditionals = []
-    for i, theta in enumerate(probs):
-        cond = np.zeros((spec.event_sizes[i], 2))
-        cond[:, 0] = 1.0
-        cond[1:, 0] = 1.0 - theta
-        cond[1:, 1] = theta
-        conditionals.append(cond)
-    return conditionals

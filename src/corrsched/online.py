@@ -8,18 +8,16 @@ moving-window estimate of them, or (for separable penalties) a per-user
 argmin that needs no strategy enumeration at all.  Ties always resolve to the
 lowest index.
 
-The one-slot step functions here (``queue_update``, ``advance_queues``,
-``dpp_select``, ``approx_update_and_select``, ``separable_select``) are the
-reference the tests replay simulator traces against; the simulator's
-kernel runs the same arithmetic over chunks of slots and many runs at once.
+The queue update and the selection rules themselves run in the simulator's
+kernel, over chunks of slots and many runs at once.  This module holds what
+the kernel needs besides: the controller parameters, the window estimator,
+the separable split, and the bound constants.
 """
 
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -60,62 +58,13 @@ class DppConfig:
             raise ValueError("approx mode needs window >= 1")
 
 
-@dataclass(eq=False)
-class QueueState:
-    """Virtual queues plus the buffer of penalties still in flight."""
-
-    q: np.ndarray  # (K,), always >= 0
-    delay_buffer: deque  # D most recent penalty vectors, oldest first
-    t: int = 0
-
-
-def initial_queue_state(n_constraints: int, delay: int) -> QueueState:
-    """Zero queues and a delay line primed with D zero penalty vectors."""
-    buffer = deque(np.zeros(n_constraints) for _ in range(delay))
-    return QueueState(q=np.zeros(n_constraints), delay_buffer=buffer, t=0)
-
-
-def queue_update(
-    state: QueueState, delayed_penalties: np.ndarray, constraints: Sequence[float]
-) -> QueueState:
-    """Apply one max-with-zero update with the slot t-D penalties."""
-    q = np.maximum(state.q + np.asarray(delayed_penalties, dtype=float) - np.asarray(constraints), 0.0)
-    return QueueState(q=q, delay_buffer=state.delay_buffer, t=state.t + 1)
-
-
-def advance_queues(
-    state: QueueState, penalties_t: np.ndarray, constraints: Sequence[float]
-) -> QueueState:
-    """Push this slot's penalties into the delay line and update the queues.
-
-    With delay D the update consumes the penalties produced D slots ago; the
-    buffer starts out holding D zero vectors, which is exactly the convention
-    that pre-history penalties are zero.
-    """
-    penalties_t = np.asarray(penalties_t, dtype=float)
-    if len(state.delay_buffer) == 0:  # D = 0: feedback arrives the same slot
-        delayed = penalties_t
-    else:
-        delayed = state.delay_buffer.popleft()
-        state.delay_buffer.append(penalties_t)
-    return queue_update(state, delayed, constraints)
-
-
-def dpp_select(r: np.ndarray, q: np.ndarray, v: float) -> int:
-    """Index minimizing V r_0 + Q . r_k over strategies; lowest index wins ties.
-
-    Scores with the same gemv (``r.dot``) as the simulator's kernel.
-    """
-    weights = np.concatenate(([v], np.asarray(q, dtype=float)))
-    return int(np.argmin(r.dot(weights)))
-
-
 class RollingEstimator:
     """Moving-window averages of per-strategy penalties from delayed samples.
 
-    Keeps the last W delayed event samples and the running sum of the
-    corresponding penalty rows; the estimate for each strategy and penalty is
-    the exact average over whatever samples are buffered.
+    Keeps the last W delayed event samples and ``sums``, the running sum of
+    their penalty rows over ``count`` samples, so the estimate for each
+    strategy and penalty is ``sums / count``.  The kernel scores strategies
+    with ``sums`` itself: dividing by the count does not move the argmin.
     """
 
     def __init__(self, event_penalties: np.ndarray, window: int):
@@ -137,33 +86,13 @@ class RollingEstimator:
         self._pos = (self._pos + 1) % self.window
         self.sums += self.event_penalties[event_index]
 
-    def values(self) -> np.ndarray:
-        """Current estimates (M, K+1); zeros before the first sample."""
-        if self.count == 0:
-            return np.zeros_like(self.sums)
-        return self.sums / self.count
-
-    def select(self, q: np.ndarray, v: float) -> int:
-        if self.count == 0:
-            return 0
-        weights = np.concatenate(([v], np.asarray(q, dtype=float)))
-        return int(np.argmin(self.sums @ weights))
-
-
-def approx_update_and_select(
-    estimator: RollingEstimator, event_index: int, q: np.ndarray, v: float
-) -> int:
-    """Feed the newly revealed delayed sample, then pick a strategy."""
-    estimator.push(event_index)
-    return estimator.select(q, v)
-
 
 # ---------------------------------------------------------------------------
 # Separable fast path
 # ---------------------------------------------------------------------------
 
 
-def separable_components(spec: ProblemSpec, cap: int = SEPARABLE_CAP) -> list[np.ndarray]:
+def separable_components(spec: ProblemSpec) -> list[np.ndarray]:
     """Split every penalty into per-user terms, or raise NotSeparable.
 
     Uses the uniform-average decomposition: the candidate per-user component
@@ -172,8 +101,8 @@ def separable_components(spec: ProblemSpec, cap: int = SEPARABLE_CAP) -> list[np
     the parts reproduces every table entry.
     Returns one (K+1, |Omega_i|, |A_i|) array per user.
     """
-    if spec.n_events * spec.n_actions > cap:
-        raise CapExceeded(spec.n_events * spec.n_actions, cap)
+    if spec.n_events * spec.n_actions > SEPARABLE_CAP:
+        raise CapExceeded(spec.n_events * spec.n_actions, SEPARABLE_CAP)
     tables = penalty_tables(spec)
     n = spec.n_users
     shaped = tables.reshape((len(tables),) + spec.event_sizes + spec.action_sizes)
@@ -199,34 +128,6 @@ def separable_components(spec: ProblemSpec, cap: int = SEPARABLE_CAP) -> list[np
         if not np.allclose(rebuilt, tables[k], atol=SEPARABLE_TOL * scale, rtol=0.0):
             raise NotSeparable(f"penalty {k} does not split into per-user terms")
     return components
-
-
-def separable_strategy(
-    components: Sequence[np.ndarray], q: np.ndarray, v: float
-) -> np.ndarray:
-    """Strategy row of per-user argmin maps for the current weights; jointly optimal.
-
-    Minimizing V p_0 + Q . p over pure strategies decomposes across users
-    when every penalty is a per-user sum, so each map can be built from that
-    user's own component tables alone.
-    """
-    weights = np.concatenate(([v], np.asarray(q, dtype=float)))
-    maps = []
-    for comp in components:
-        scores = np.tensordot(weights, comp, axes=(0, 0))  # (|Omega_i|, |A_i|)
-        maps.append(np.argmin(scores, axis=1))
-    return np.concatenate(maps)
-
-
-def separable_select(
-    components: Sequence[np.ndarray], q: np.ndarray, v: float, omega: Sequence[int]
-) -> tuple[int, ...]:
-    """Actions for the observed events; each user needs only its own omega_i."""
-    weights = np.concatenate(([v], np.asarray(q, dtype=float)))
-    return tuple(
-        int(np.argmin(weights @ comp[:, omega[i], :]))
-        for i, comp in enumerate(components)
-    )
 
 
 # ---------------------------------------------------------------------------

@@ -1,17 +1,16 @@
 """Offline policy optimization over pure strategies.
 
 Solves the correlated-scheduling LP (randomize over pure strategies via a
-shared random index), the centralized benchmark LP (randomize over joint
-actions given the full event vector), and evaluates independent per-user
-randomized policies.  The correlated LP's basic optima carry at most K+1
-support strategies, K being the number of constraints.
+shared random index) and the centralized benchmark LP (randomize over
+joint actions given the full event vector).  The correlated LP's basic
+optima carry at most K+1 support strategies, K being the number of
+constraints.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Sequence
 
 import numpy as np
 
@@ -19,7 +18,6 @@ from .problem import (
     CapExceeded,
     ProblemSpec,
     flat_event_probabilities,
-    joint_components,
     penalty_tables,
 )
 from .simplex import Infeasible, LpProblem, LpStatus, solve_lp
@@ -28,6 +26,7 @@ from .strategy import r_matrix
 SUPPORT_TOL = 1e-12
 CENTRALIZED_CAP = 4096
 ORACLE_STRATEGY_CAP = 50
+ORACLE_TOL = 1e-9
 
 
 @dataclass(eq=False)
@@ -101,7 +100,7 @@ def solve_distributed_lp(
     )
 
 
-def solve_centralized_lp(spec: ProblemSpec, cap: int = CENTRALIZED_CAP) -> CentralizedPolicy:
+def solve_centralized_lp(spec: ProblemSpec) -> CentralizedPolicy:
     """Benchmark with full event knowledge: optimize theta(alpha | omega).
 
     Variables are the per-event conditional action distributions; one
@@ -111,8 +110,8 @@ def solve_centralized_lp(spec: ProblemSpec, cap: int = CENTRALIZED_CAP) -> Centr
     n_o = spec.n_events
     n_a = spec.n_actions
     n_var = n_o * n_a
-    if n_var > cap:
-        raise CapExceeded(n_var, cap)
+    if n_var > CENTRALIZED_CAP:
+        raise CapExceeded(n_var, CENTRALIZED_CAP)
     tables = penalty_tables(spec)  # (K+1, n_o, n_a)
     pi = flat_event_probabilities(spec.distribution, spec.event_sizes)
     weighted = tables * pi[None, :, None]
@@ -142,31 +141,6 @@ def solve_centralized_lp(spec: ProblemSpec, cap: int = CENTRALIZED_CAP) -> Centr
     )
 
 
-def evaluate_independent_policy(
-    spec: ProblemSpec, conditionals: Sequence[np.ndarray]
-) -> np.ndarray:
-    """Exact expected penalties of independent per-user randomized strategies.
-
-    conditionals[i] has shape (|Omega_i|, |A_i|): each row is user i's action
-    distribution after observing that event.  Returns (K+1,) expected
-    penalties.
-    """
-    omega_comp = joint_components(spec.event_sizes)
-    alpha_comp = joint_components(spec.action_sizes)
-    weight = np.ones((spec.n_events, spec.n_actions))
-    for i, cond in enumerate(conditionals):
-        cond = np.asarray(cond, dtype=float)
-        if cond.shape != (spec.event_sizes[i], spec.action_sizes[i]):
-            raise ValueError(f"conditional {i} has shape {cond.shape}")
-        rows = cond.sum(axis=1)
-        if np.any(np.abs(rows - 1.0) > 1e-9):
-            raise ValueError(f"conditional {i} rows not normalized")
-        weight *= cond[np.ix_(omega_comp[:, i], alpha_comp[:, i])]
-    pi = flat_event_probabilities(spec.distribution, spec.event_sizes)
-    tables = penalty_tables(spec)
-    return np.einsum("w,wa,kwa->k", pi, weight, tables)
-
-
 def sample_strategies(
     policy: CorrelatedPolicy, rng: np.random.Generator, n: int
 ) -> np.ndarray:
@@ -186,9 +160,7 @@ def sample_strategy(policy: CorrelatedPolicy, rng: np.random.Generator) -> np.nd
     return policy.support[int(sample_strategies(policy, rng, 1)[0])][0]
 
 
-def _best_over_subsets(
-    r: np.ndarray, c: np.ndarray, subsets: np.ndarray, tol: float = 1e-9
-) -> float:
+def _best_over_subsets(r: np.ndarray, c: np.ndarray, subsets: np.ndarray) -> float:
     """Best feasible objective over all given same-size support subsets.
 
     Candidate vertices are solutions of square active-set systems: the
@@ -202,7 +174,7 @@ def _best_over_subsets(
     r0 = r_sub[:, :, 0]
     rk = r_sub[:, :, 1:]
     if size == 1:
-        feasible = np.all(rk[:, 0, :] <= c + tol, axis=1)
+        feasible = np.all(rk[:, 0, :] <= c + ORACLE_TOL, axis=1)
         return float(np.where(feasible, r0[:, 0], np.inf).min())
     best = np.full(n_sub, np.inf)
     rows = [("c", j) for j in range(k)] + [("z", j) for j in range(size)]
@@ -222,9 +194,9 @@ def _best_over_subsets(
         if not solvable.any():
             continue
         theta = np.linalg.solve(mats[solvable], rhs[solvable][:, :, None])[:, :, 0]
-        feasible = np.all(theta >= -tol, axis=1)
+        feasible = np.all(theta >= -ORACLE_TOL, axis=1)
         achieved = np.einsum("ns,nsk->nk", theta, rk[solvable])
-        feasible &= np.all(achieved <= c + tol, axis=1)
+        feasible &= np.all(achieved <= c + ORACLE_TOL, axis=1)
         values = np.where(feasible, np.einsum("ns,ns->n", theta, r0[solvable]), np.inf)
         best[solvable] = np.minimum(best[solvable], values)
     return float(best.min())

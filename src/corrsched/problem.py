@@ -42,10 +42,6 @@ def joint_components(sizes: Sequence[int]) -> np.ndarray:
     return np.array(np.unravel_index(np.arange(n), tuple(sizes))).T
 
 
-def flatten_index(indices: Sequence[int], sizes: Sequence[int]) -> int:
-    return int(np.ravel_multi_index(tuple(int(i) for i in indices), tuple(sizes)))
-
-
 # ---------------------------------------------------------------------------
 # Event distributions
 # ---------------------------------------------------------------------------
@@ -169,13 +165,6 @@ class FullTable:
             )
         return self.values
 
-    def evaluate(self, alpha, omega, action_sizes, event_sizes) -> float:
-        return float(
-            self.values[
-                flatten_index(omega, event_sizes), flatten_index(alpha, action_sizes)
-            ]
-        )
-
 
 @dataclass(frozen=True)
 class PowerPerUser:
@@ -189,9 +178,6 @@ class PowerPerUser:
         n_omega = math.prod(event_sizes)
         comp = joint_components(action_sizes)[:, self.user].astype(float)
         return np.tile(comp, (n_omega, 1))
-
-    def evaluate(self, alpha, omega, action_sizes, event_sizes) -> float:
-        return float(alpha[self.user])
 
 
 @dataclass(frozen=True, eq=False)
@@ -220,10 +206,6 @@ class MinSumUtilityNeg:
             total += np.outer(w[omega_comp[:, i]], alpha_comp[:, i])
         return -np.minimum(total, self.cap)
 
-    def evaluate(self, alpha, omega, action_sizes, event_sizes) -> float:
-        total = sum(w[omega[i]] * alpha[i] for i, w in enumerate(self.weights))
-        return -min(total, self.cap)
-
 
 @dataclass(frozen=True)
 class CollisionUtilityNeg:
@@ -248,13 +230,6 @@ class CollisionUtilityNeg:
             u += np.outer(omega_comp[:, i], alone.astype(float))
         return -u
 
-    def evaluate(self, alpha, omega, action_sizes, event_sizes) -> float:
-        u = 0.0
-        for i in range(len(alpha)):
-            if alpha[i] == 1 and all(alpha[j] == 0 for j in range(len(alpha)) if j != i):
-                u += omega[i]
-        return -u
-
 
 @dataclass(frozen=True, eq=False)
 class WeightedSum:
@@ -270,12 +245,6 @@ class WeightedSum:
         for w, child in zip(self.coefficients, self.children):
             out += w * child.expand(action_sizes, event_sizes)
         return out
-
-    def evaluate(self, alpha, omega, action_sizes, event_sizes) -> float:
-        return sum(
-            w * child.evaluate(alpha, omega, action_sizes, event_sizes)
-            for w, child in zip(self.coefficients, self.children)
-        )
 
 
 @dataclass(frozen=True, eq=False)
@@ -300,12 +269,6 @@ class ProductForm:
             phi = phi * self.phis[i][omega_comp[:, i]]
             psi = psi * self.psis[i][alpha_comp[:, i]]
         return np.outer(phi, psi)
-
-    def evaluate(self, alpha, omega, action_sizes, event_sizes) -> float:
-        out = 1.0
-        for i in range(len(self.phis)):
-            out *= self.phis[i][omega[i]] * self.psis[i][alpha[i]]
-        return float(out)
 
 
 PenaltyFn = Union[
@@ -422,37 +385,6 @@ def validate_spec(spec: ProblemSpec) -> ValidationReport:
         if not np.all(np.isfinite(table)):
             report.add(f"penalty {k} is not finite everywhere")
     return report
-
-
-def eval_penalty(
-    spec: ProblemSpec, k: int, alpha: Sequence[int], omega: Sequence[int]
-) -> float:
-    """Value of penalty k at action vector alpha and event vector omega."""
-    if not 0 <= k <= spec.n_constraints:
-        raise IndexError(f"penalty index {k} out of range 0..{spec.n_constraints}")
-    for i in range(spec.n_users):
-        if not 0 <= alpha[i] < spec.action_sizes[i]:
-            raise IndexError(f"action {alpha[i]} out of range for user {i}")
-        if not 0 <= omega[i] < spec.event_sizes[i]:
-            raise IndexError(f"event {omega[i]} out of range for user {i}")
-    return spec.penalties[k].evaluate(alpha, omega, spec.action_sizes, spec.event_sizes)
-
-
-def event_probability(spec: ProblemSpec, omega: Sequence[int]) -> float:
-    """Probability that the event vector equals omega."""
-    dist = spec.distribution
-    if isinstance(dist, ProductDistribution):
-        out = 1.0
-        for i, q in enumerate(dist.marginals):
-            out *= q[omega[i]]
-        return float(out)
-    return float(dist.table.reshape(spec.event_sizes)[tuple(int(w) for w in omega)])
-
-
-def sample_event(spec: ProblemSpec, rng: np.random.Generator) -> tuple[int, ...]:
-    """Draw one event vector; mutates only the caller-owned generator."""
-    idx = sample_event_indices(spec.distribution, spec.event_sizes, rng, 1)[0]
-    return tuple(int(v) for v in np.unravel_index(idx, spec.event_sizes))
 
 
 def penalty_tables(spec: ProblemSpec) -> np.ndarray:

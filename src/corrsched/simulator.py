@@ -441,16 +441,16 @@ def _simulate(
     return metrics, traces, sums
 
 
-def run_episode(config: SimConfig, record: bool = True) -> tuple[Metrics, Trace | None]:
-    """Simulate one seeded run; returns metrics and (optionally) a trace.
+def run_episode(config: SimConfig) -> tuple[Metrics, Trace]:
+    """Simulate one seeded run; returns its metrics and trace.
 
     The trace keeps every config.stride-th slot, with running averages over
     all slots.  Memory is O(chunk + delay + horizon / stride), whatever the
     horizon.
     """
-    stride = max(int(config.stride), 1) if record else None
+    stride = max(int(config.stride), 1)
     metrics, traces, _ = _simulate(config, [config.seed], stride, accumulate=False)
-    return metrics[0], traces[0] if record else None
+    return metrics[0], traces[0]
 
 
 def run_ensemble(config: SimConfig, seeds: Sequence[int] | None = None) -> EnsembleMetrics:
@@ -527,17 +527,12 @@ def write_trace(trace: Trace, path) -> None:
         + ["ubar"]
         + [f"pbar_{k + 1}" for k in range(n_k)]
     )
+    columns = [trace.t, trace.strategy, trace.u, trace.p, trace.q, trace.ubar, trace.pbar]
+    fmt = ["%d", "%d"] + ["%.17g"] * (len(header) - 2)
     try:
-        with open(path, "w") as fh:
-            fh.write(",".join(header) + "\n")
-            for i in range(len(trace)):
-                cells = [str(int(trace.t[i])), str(int(trace.strategy[i]))]
-                cells.append("%.17g" % trace.u[i])
-                cells.extend("%.17g" % v for v in trace.p[i])
-                cells.extend("%.17g" % v for v in trace.q[i])
-                cells.append("%.17g" % trace.ubar[i])
-                cells.extend("%.17g" % v for v in trace.pbar[i])
-                fh.write(",".join(cells) + "\n")
+        np.savetxt(
+            path, np.column_stack(columns), fmt=fmt, delimiter=",", header=",".join(header), comments=""
+        )
     except OSError as exc:
         raise OSError(f"cannot write trace to {path}: {exc}") from exc
 

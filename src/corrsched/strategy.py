@@ -101,7 +101,7 @@ def drop_act_on_zero(spec: ProblemSpec, strategies: np.ndarray) -> np.ndarray:
     return strategies[np.all([g[:, 0] == 0 for g in user_maps(spec, strategies)], axis=0)]
 
 
-def check_preferred_action(spec: ProblemSpec, k: int, cap: int = CHECK_CAP) -> bool:
+def check_preferred_action(spec: ProblemSpec, k: int) -> bool:
     """Exhaustively test the preferred action property of penalty k.
 
     The property holds when, for every user, the penalty difference between a
@@ -112,8 +112,8 @@ def check_preferred_action(spec: ProblemSpec, k: int, cap: int = CHECK_CAP) -> b
     if not 0 <= k <= spec.n_constraints:
         raise IndexError(f"penalty index {k} out of range")
     work = spec.n_events * spec.n_actions * spec.n_users
-    if work > cap:
-        raise CapExceeded(work, cap)
+    if work > CHECK_CAP:
+        raise CapExceeded(work, CHECK_CAP)
     table = spec.penalties[k].expand(spec.action_sizes, spec.event_sizes)
     shaped = table.reshape(spec.event_sizes + spec.action_sizes)
     n = spec.n_users
@@ -128,7 +128,7 @@ def check_preferred_action(spec: ProblemSpec, k: int, cap: int = CHECK_CAP) -> b
     return True
 
 
-def prune_applicable(spec: ProblemSpec, cap: int = CHECK_CAP) -> bool:
+def prune_applicable(spec: ProblemSpec) -> bool:
     """True when restriction to non-decreasing strategies loses nothing.
 
     Requires independent events with strictly positive marginals and the
@@ -139,7 +139,7 @@ def prune_applicable(spec: ProblemSpec, cap: int = CHECK_CAP) -> bool:
         return False
     if any(np.any(q <= 0) for q in dist.marginals):
         return False
-    return all(check_preferred_action(spec, k, cap) for k in range(spec.n_constraints + 1))
+    return all(check_preferred_action(spec, k) for k in range(spec.n_constraints + 1))
 
 
 def strategy_action_table(spec: ProblemSpec, strategies: np.ndarray) -> np.ndarray:
@@ -178,7 +178,3 @@ def r_matrix(
     pi = flat_event_probabilities(spec.distribution, spec.event_sizes)
     return np.tensordot(pi, event_penalties, axes=(0, 0))
 
-
-def compute_r_vector(spec: ProblemSpec, strategy: np.ndarray) -> np.ndarray:
-    """Expected penalties of one strategy row, shape (K+1,)."""
-    return r_matrix(spec, np.asarray(strategy)[None, :])[0]

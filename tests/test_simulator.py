@@ -1,9 +1,12 @@
+import hashlib
+
 import numpy as np
 import pytest
 
 import corrsched as cs
 from corrsched.strategy import strategy_event_penalties
 
+import oracles
 from specgen import random_separable_spec
 
 
@@ -90,7 +93,7 @@ def test_exact_mode_selection_replays_with_dpp_select(two_sensor):
     r = cs.r_matrix(spec, strategies)
     _, trace = cs.run_episode(_cfg(spec, strategies, v=25.0, delay=3, horizon=400))
     for i in range(len(trace)):
-        assert trace.strategy[i] == cs.dpp_select(r, trace.q[i], 25.0)
+        assert trace.strategy[i] == oracles.dpp_select(r, trace.q[i], 25.0)
 
 
 def test_approx_mode_selection_replays_with_estimator(two_sensor):
@@ -105,9 +108,8 @@ def test_approx_mode_selection_replays_with_estimator(two_sensor):
     est = cs.RollingEstimator(pen, window)
     for t in range(300):
         if t >= delay:
-            m = cs.approx_update_and_select(est, int(omega[t - delay]), trace.q[t], v)
-        else:
-            m = est.select(trace.q[t], v)
+            est.push(int(omega[t - delay]))
+        m = oracles.window_select(est, trace.q[t], v)
         assert m == trace.strategy[t]
 
 
@@ -177,7 +179,7 @@ def test_ensemble_default_seed_derivation(two_sensor):
 def test_ensemble_single_slot_matches_expectation(two_sensor):
     spec, strategies = two_sensor
     r = cs.r_matrix(spec, strategies)
-    m0 = cs.dpp_select(r, np.zeros(2), 10.0)  # queues start at zero
+    m0 = oracles.dpp_select(r, np.zeros(2), 10.0)  # queues start at zero
     expect_u = -r[m0, 0]
     pen = strategy_event_penalties(spec, strategies)[:, m0, 0]
     pi = cs.problem.flat_event_probabilities(spec.distribution, spec.event_sizes)
@@ -206,6 +208,38 @@ def test_trace_header_format(tmp_path, two_sensor):
     cs.write_trace(trace, path)
     header = path.read_text().splitlines()[0]
     assert header == "t,strategy,u,p_1,p_2,Q_1,Q_2,ubar,pbar_1,pbar_2"
+
+
+# SHA-256 of each trace file as the per-row writer wrote it before np.savetxt
+TRACE_SHA = {
+    "exact-d3": "a38dd7c40e6bd534ee3a30c6d17c8c95f5ff23bb30ed07e1a67137aede36d32e",
+    "separable-d2": "9eab6c15f53955e739c19241404c6792af55fad80b12c620de3d1930b4c8cc01",
+    "k0-stride7": "30e8fe78a3d1c9fb43d5de833e7a2687ad075dd8f500fc6b886d060d1d08603f",
+}
+
+
+@pytest.mark.parametrize("case", sorted(TRACE_SHA))
+def test_write_trace_bytes_pinned(tmp_path, two_sensor, case):
+    spec, strategies = two_sensor
+    k0 = cs.ProblemSpec(
+        action_sizes=spec.action_sizes,
+        event_sizes=spec.event_sizes,
+        distribution=spec.distribution,
+        penalties=spec.penalties[:1],
+        constraints=(),
+    )
+    sep = random_separable_spec(np.random.default_rng(4))  # K = 2, strategy column -1
+    spec, strategies, mode, delay, stride = {
+        "exact-d3": (spec, strategies, "exact", 3, 1),
+        "separable-d2": (sep, None, "separable", 2, 1),
+        "k0-stride7": (k0, strategies, "exact", 0, 7),
+    }[case]
+    _, trace = cs.run_episode(
+        _cfg(spec, strategies, mode=mode, delay=delay, horizon=300, seed=17, stride=stride)
+    )
+    path = tmp_path / "run.trace.csv"
+    cs.write_trace(trace, path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == TRACE_SHA[case]
 
 
 def test_write_trace_bad_path(two_sensor):

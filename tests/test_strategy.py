@@ -10,6 +10,7 @@ from corrsched import fixtures
 from corrsched.problem import CapExceeded, penalty_tables
 from corrsched.strategy import strategy_action_table, strategy_event_penalties, user_maps
 
+import oracles
 from specgen import random_spec
 
 
@@ -181,7 +182,7 @@ def test_prune_not_applicable_counterexample():
 
 def test_r_vectors_two_sensor(two_sensor):
     spec, strategies = two_sensor
-    by_row = {tuple(s.tolist()): cs.compute_r_vector(spec, s) for s in strategies}
+    by_row = {tuple(s.tolist()): oracles.compute_r_vector(spec, s) for s in strategies}
     never = by_row[(0, 0, 0, 0)]
     only_one = by_row[(0, 1, 0, 0)]
     both = by_row[(0, 1, 0, 1)]
@@ -194,14 +195,14 @@ def test_r_matrix_matches_per_strategy(two_sensor, rng):
     spec, strategies = two_sensor
     r = cs.r_matrix(spec, strategies)
     for i, s in enumerate(strategies):
-        assert np.array_equal(r[i], cs.compute_r_vector(spec, s))
+        assert np.array_equal(r[i], oracles.compute_r_vector(spec, s))
 
 
 def test_r_vector_matches_monte_carlo(rng):
     spec = random_spec(rng, strategy_cap=24)
     strategies = cs.enumerate_all(spec)
     s = strategies[int(rng.integers(0, len(strategies)))]
-    r = cs.compute_r_vector(spec, s)
+    r = oracles.compute_r_vector(spec, s)
     n = 10**6
     idx = cs.problem.sample_event_indices(spec.distribution, spec.event_sizes, rng, n)
     pen = strategy_event_penalties(spec, [s])[:, 0, :]  # (n_events, K+1)
@@ -231,7 +232,7 @@ def test_two_sensor_values_match_exact_rational_arithmetic(two_sensor):
                 expect[0] += prob * -utility(a1, a2, w1, w2)
                 expect[1] += prob * a1
                 expect[2] += prob * a2
-        got = cs.compute_r_vector(spec, s)
+        got = oracles.compute_r_vector(spec, s)
         for k in range(3):
             assert abs(got[k] - float(expect[k])) < 1e-15
 
@@ -276,7 +277,7 @@ def test_r_vector_bounded_by_penalty_range(rng):
         tables = penalty_tables(spec)
         bound = np.abs(tables).reshape(len(tables), -1).max(axis=1)
         for s in cs.enumerate_all(spec):
-            assert np.all(np.abs(cs.compute_r_vector(spec, s)) <= bound + 1e-12)
+            assert np.all(np.abs(oracles.compute_r_vector(spec, s)) <= bound + 1e-12)
 
 
 def test_strategy_action_table_matches_maps(two_sensor):
