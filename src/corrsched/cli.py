@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
 import numpy as np
@@ -90,9 +89,7 @@ def _cmd_simulate(args) -> int:
             "utility_grand_mean": float(mean_u),
             "per_run_utility": [m.utility for m in ensemble.per_run],
         }
-        with open(f"{args.out}.metrics", "w") as fh:
-            json.dump(out, fh, indent=2)
-            fh.write("\n")
+        fileio.save_json(out, f"{args.out}.metrics")
         write_ensemble(ensemble, f"{args.out}.trace.csv")
         print(f"ensemble of {ensemble.runs} runs written to {args.out}.*")
         return 0
@@ -193,14 +190,10 @@ def build_parser() -> argparse.ArgumentParser:
 # Failures caused by the input (files, specs, sizes, options), and an LP the
 # simplex could not finish within its pivot limit: reported as one line and
 # exit code 2, like argparse's own usage errors.
-_INPUT_ERRORS = (
-    KeyError, ValueError, Infeasible, CapExceeded, NotSeparable, OSError, IterationLimit
-)
+_INPUT_ERRORS = (ValueError, Infeasible, CapExceeded, NotSeparable, OSError, IterationLimit)
 
 
 def _error_line(exc: Exception) -> str:
-    if isinstance(exc, KeyError):
-        return f"missing key {exc.args[0]!r}" if exc.args else "missing key"
     text = " ".join(str(exc).split())
     return f"{type(exc).__name__}: {text}" if text else type(exc).__name__
 

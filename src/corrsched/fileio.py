@@ -3,12 +3,14 @@
 Spec files carry ``users``, ``action_sizes``, ``event_sizes``,
 ``distribution`` (either ``{"joint": [...]}`` flat in event-major order or
 ``{"product": [[...], ...]}`` per user), ``penalties`` as a list of
-``{"kind", "params"}`` objects, and ``constraints``.  Dense penalty tables
+``{"kind", "params"}`` objects whose params are the fields of the class
+``problem.PENALTY_KINDS[kind]``, and ``constraints``.  Dense penalty tables
 are event-major then action, users in ascending index order.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import json
 from typing import Any
 
@@ -16,77 +18,39 @@ import numpy as np
 
 from .optimizer import CorrelatedPolicy
 from .problem import (
-    CollisionUtilityNeg,
+    PENALTY_KINDS,
     EventDistribution,
-    FullTable,
     JointDistribution,
-    MinSumUtilityNeg,
-    PowerPerUser,
     ProblemSpec,
     ProductDistribution,
-    WeightedSum,
-    ProductForm,
 )
 from .simulator import Metrics, Phase
 from .strategy import user_maps
 
 
+def _json_value(value):
+    if isinstance(value, tuple):
+        return [_json_value(v) for v in value]
+    if dataclasses.is_dataclass(value):  # a child penalty
+        return _penalty_to_dict(value)
+    return value.tolist() if isinstance(value, np.ndarray) else value
+
+
 def _penalty_to_dict(pen) -> dict[str, Any]:
-    if isinstance(pen, FullTable):
-        return {"kind": pen.kind, "params": {"values": pen.values.tolist()}}
-    if isinstance(pen, PowerPerUser):
-        return {"kind": pen.kind, "params": {"user": pen.user}}
-    if isinstance(pen, MinSumUtilityNeg):
-        return {
-            "kind": pen.kind,
-            "params": {"weights": [w.tolist() for w in pen.weights], "cap": pen.cap},
-        }
-    if isinstance(pen, CollisionUtilityNeg):
-        return {"kind": pen.kind, "params": {}}
-    if isinstance(pen, WeightedSum):
-        return {
-            "kind": pen.kind,
-            "params": {
-                "coefficients": list(pen.coefficients),
-                "children": [_penalty_to_dict(ch) for ch in pen.children],
-            },
-        }
-    if isinstance(pen, ProductForm):
-        return {
-            "kind": pen.kind,
-            "params": {
-                "phis": [p.tolist() for p in pen.phis],
-                "psis": [p.tolist() for p in pen.psis],
-            },
-        }
-    raise TypeError(f"unknown penalty type {type(pen).__name__}")
+    params = {f.name: _json_value(getattr(pen, f.name)) for f in dataclasses.fields(pen)}
+    return {"kind": pen.kind, "params": params}
 
 
-def _penalty_from_dict(obj: dict[str, Any]):
-    kind = obj["kind"]
-    params = obj.get("params", {})
-    if kind == "full_table":
-        return FullTable(np.asarray(params["values"], dtype=float))
-    if kind == "power_per_user":
-        return PowerPerUser(int(params["user"]))
-    if kind == "min_sum_utility_neg":
-        return MinSumUtilityNeg(
-            weights=tuple(np.asarray(w, dtype=float) for w in params["weights"]),
-            cap=float(params["cap"]),
-        )
-    if kind == "collision_utility_neg":
-        return CollisionUtilityNeg()
-    if kind == "weighted_sum":
-        return WeightedSum(
-            children=tuple(_penalty_from_dict(ch) for ch in params["children"]),
-            coefficients=tuple(float(w) for w in params["coefficients"]),
-        )
-    if kind == "product_form":
-        return ProductForm(
-            phis=tuple(np.asarray(p, dtype=float) for p in params["phis"]),
-            psis=tuple(np.asarray(p, dtype=float) for p in params["psis"]),
-        )
-    raise ValueError(f"unknown penalty kind {kind!r}")
+def _penalty_from_dict(obj):
+    """The penalty an entry describes; its params are its class's fields, no more."""
+    obj = _object(obj)
+    kind = _field(obj, "kind", str)
+    if kind not in PENALTY_KINDS:
+        raise ValueError(f"unknown penalty kind {kind!r}")
+    params = _object(obj.get("params", {}))
+    if "children" in params:
+        params = {**params, "children": tuple(_penalty_from_dict(ch) for ch in params["children"])}
+    return PENALTY_KINDS[kind](**params)
 
 
 def _distribution_to_dict(dist: EventDistribution) -> dict[str, Any]:
@@ -155,22 +119,30 @@ def _load(path, parse):
         raise ValueError(f"{path}: {exc}") from exc
 
 
+def save_json(obj, path) -> None:
+    """Write obj as indented JSON with a final newline, as every file here is."""
+    with open(path, "w") as fh:
+        json.dump(obj, fh, indent=2)
+        fh.write("\n")
+
+
 def load_spec(path) -> ProblemSpec:
     return _load(path, spec_from_dict)
 
 
 def save_spec(spec: ProblemSpec, path) -> None:
-    with open(path, "w") as fh:
-        json.dump(spec_to_dict(spec), fh, indent=2)
-        fh.write("\n")
+    save_json(spec_to_dict(spec), path)
 
 
 def load_phases(path, spec: ProblemSpec) -> list[Phase]:
     def phase(ph) -> Phase:
+        ph = _object(ph)
         return Phase(
-            start=int(ph["start"]),
-            end=int(ph["end"]),
-            distribution=_distribution_from_dict(ph["distribution"], spec.event_sizes),
+            start=_field(ph, "start", int),
+            end=_field(ph, "end", int),
+            distribution=_field(
+                ph, "distribution", lambda d: _distribution_from_dict(d, spec.event_sizes)
+            ),
         )
 
     return _load(path, lambda obj: _field(obj, "phases", lambda v: [phase(ph) for ph in v]))
@@ -187,9 +159,7 @@ def save_phases(phases, path) -> None:
             for ph in phases
         ]
     }
-    with open(path, "w") as fh:
-        json.dump(obj, fh, indent=2)
-        fh.write("\n")
+    save_json(obj, path)
 
 
 def policy_to_dict(spec: ProblemSpec, policy: CorrelatedPolicy) -> dict[str, Any]:
@@ -205,9 +175,7 @@ def policy_to_dict(spec: ProblemSpec, policy: CorrelatedPolicy) -> dict[str, Any
 
 
 def save_policy(spec: ProblemSpec, policy: CorrelatedPolicy, path) -> None:
-    with open(path, "w") as fh:
-        json.dump(policy_to_dict(spec, policy), fh, indent=2)
-        fh.write("\n")
+    save_json(policy_to_dict(spec, policy), path)
 
 
 def metrics_to_dict(metrics: Metrics, config: dict[str, Any] | None = None) -> dict[str, Any]:
@@ -224,9 +192,7 @@ def metrics_to_dict(metrics: Metrics, config: dict[str, Any] | None = None) -> d
 
 
 def save_metrics(metrics: Metrics, path, config: dict[str, Any] | None = None) -> None:
-    with open(path, "w") as fh:
-        json.dump(metrics_to_dict(metrics, config), fh, indent=2)
-        fh.write("\n")
+    save_json(metrics_to_dict(metrics, config), path)
 
 
 PRUNE_CHOICES = ("auto", "off", "force")

@@ -98,7 +98,8 @@ def separable_components(spec: ProblemSpec) -> list[np.ndarray]:
     Uses the uniform-average decomposition: the candidate per-user component
     is the penalty's mean over all other coordinates, recentered so the parts
     sum back to the grand mean.  The split is accepted only if reassembling
-    the parts reproduces every table entry.
+    the parts reproduces every table entry, to within SEPARABLE_TOL times
+    that table's largest magnitude, so the answer does not depend on units.
     Returns one (K+1, |Omega_i|, |A_i|) array per user.
     """
     if spec.n_events * spec.n_actions > SEPARABLE_CAP:
@@ -106,7 +107,6 @@ def separable_components(spec: ProblemSpec) -> list[np.ndarray]:
     tables = penalty_tables(spec)
     n = spec.n_users
     shaped = tables.reshape((len(tables),) + spec.event_sizes + spec.action_sizes)
-    scale = max(1.0, float(np.max(np.abs(tables))))
     components = [
         np.zeros((len(tables), spec.event_sizes[i], spec.action_sizes[i]))
         for i in range(n)
@@ -125,7 +125,8 @@ def separable_components(spec: ProblemSpec) -> list[np.ndarray]:
             comp = mean_i - (n - 1) / n * grand
             components[i][k] = comp
             rebuilt += comp[np.ix_(omega_comp[:, i], alpha_comp[:, i])]
-        if not np.allclose(rebuilt, tables[k], atol=SEPARABLE_TOL * scale, rtol=0.0):
+        atol = SEPARABLE_TOL * float(np.max(np.abs(tables[k])))
+        if not np.allclose(rebuilt, tables[k], atol=atol, rtol=0.0):
             raise NotSeparable(f"penalty {k} does not split into per-user terms")
     return components
 

@@ -205,14 +205,16 @@ def _best_over_subsets(r: np.ndarray, c: np.ndarray, subsets: np.ndarray) -> flo
 def brute_force_distributed_oracle(
     spec: ProblemSpec,
     strategies: np.ndarray,
-    r: np.ndarray | None = None,
     cap: int = ORACLE_STRATEGY_CAP,
 ) -> float | None:
     """Independent check of the distributed LP optimum for tiny instances.
 
     Exhausts every support subset of size at most K+1 and optimizes each by
     vertex enumeration; returns the best objective, or None when no subset is
-    feasible.  Test-only code path, deliberately unrelated to the simplex.
+    feasible.  Each column of r_matrix is divided by its largest magnitude (the
+    constraint columns together with their budgets), so the fixed vertex
+    tolerances act relative to the penalties' units.  Test-only code path,
+    deliberately unrelated to the simplex.
     """
     m = len(strategies)
     k = spec.n_constraints
@@ -220,11 +222,13 @@ def brute_force_distributed_oracle(
         raise CapExceeded(m, cap)
     if k > 2:
         raise CapExceeded(k, 2)
-    if r is None:
-        r = r_matrix(spec, strategies)
+    r = r_matrix(spec, strategies)
     c = np.asarray(spec.constraints, dtype=float)
+    scale = np.abs(np.vstack([r, np.r_[0.0, c]])).max(axis=0)  # budgets as one more row
+    scale[scale == 0] = 1.0
+    r, c = r / scale, c / scale[1:]
     best = np.inf
     for size in range(1, min(k + 1, m) + 1):
         subsets = np.array(list(combinations(range(m), size)), dtype=np.int64)
         best = min(best, _best_over_subsets(r, c, subsets))
-    return None if np.isinf(best) else best
+    return None if np.isinf(best) else best * scale[0]

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Sequence, Union
+from typing import Sequence, Union, get_args
 
 import numpy as np
 
@@ -174,6 +174,9 @@ class PowerPerUser:
 
     kind = "power_per_user"
 
+    def __post_init__(self):
+        object.__setattr__(self, "user", int(self.user))
+
     def expand(self, action_sizes, event_sizes) -> np.ndarray:
         n_omega = math.prod(event_sizes)
         comp = joint_components(action_sizes)[:, self.user].astype(float)
@@ -197,6 +200,7 @@ class MinSumUtilityNeg:
         object.__setattr__(
             self, "weights", tuple(np.asarray(w, dtype=float) for w in self.weights)
         )
+        object.__setattr__(self, "cap", float(self.cap))
 
     def expand(self, action_sizes, event_sizes) -> np.ndarray:
         omega_comp = joint_components(event_sizes)
@@ -235,10 +239,14 @@ class CollisionUtilityNeg:
 class WeightedSum:
     """Non-negative combination of child penalty functions."""
 
-    children: tuple
     coefficients: tuple[float, ...]
+    children: tuple
 
     kind = "weighted_sum"
+
+    def __post_init__(self):
+        object.__setattr__(self, "coefficients", tuple(float(w) for w in self.coefficients))
+        object.__setattr__(self, "children", tuple(self.children))
 
     def expand(self, action_sizes, event_sizes) -> np.ndarray:
         out = np.zeros((math.prod(event_sizes), math.prod(action_sizes)))
@@ -274,6 +282,9 @@ class ProductForm:
 PenaltyFn = Union[
     FullTable, PowerPerUser, MinSumUtilityNeg, CollisionUtilityNeg, WeightedSum, ProductForm
 ]
+
+# Each family's file format is its kind plus its dataclass fields as params.
+PENALTY_KINDS = {cls.kind: cls for cls in get_args(PenaltyFn)}
 
 
 # ---------------------------------------------------------------------------

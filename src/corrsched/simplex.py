@@ -72,7 +72,6 @@ class LpSolution:
     slack_ub: np.ndarray | None = None
     duals_ub: np.ndarray | None = None
     duals_eq: np.ndarray | None = None
-    basis: np.ndarray | None = None  # indices into [structural | ub slacks]
 
 
 def _pivot(tab: np.ndarray, row: int, col: int) -> None:
@@ -146,7 +145,6 @@ def solve_lp(problem: LpProblem) -> LpSolution:
     tab[:, :n_sl] = a
     tab[:, -1] = b
     basis = np.zeros(m, dtype=np.int64)
-    art_of_row = {}
     next_art = n_sl
     for i in range(m):
         if i < m_ub and not flip[i]:
@@ -154,7 +152,6 @@ def solve_lp(problem: LpProblem) -> LpSolution:
         else:
             tab[i, next_art] = 1.0
             basis[i] = next_art
-            art_of_row[i] = next_art
             next_art += 1
 
     keep_rows = np.ones(m, dtype=bool)
@@ -192,7 +189,6 @@ def solve_lp(problem: LpProblem) -> LpSolution:
 
     # Duals from the original basis columns: B^T y = c_B, ordered [ub | eq].
     a_rows = a[keep_rows]
-    b_rows = np.concatenate([problem.b_ub, problem.b_eq])[keep_rows]
     sign = np.where(flip[keep_rows], -1.0, 1.0)
     duals_kept = None
     try:
@@ -212,5 +208,4 @@ def solve_lp(problem: LpProblem) -> LpSolution:
         slack_ub=slack_ub,
         duals_ub=duals[:m_ub],
         duals_eq=duals[m_ub:],
-        basis=basis.copy(),
     )

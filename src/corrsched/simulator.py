@@ -241,7 +241,7 @@ def _step_single(ctl: _Controller, t0: int, n: int, ev, pen, qa, ms) -> None:
         elif mode == "approx":
             if i >= first_push:
                 estimator.push(ev[i])
-            col = m = estimator.sums.dot(w).argmin() if estimator.count else 0
+            col = m = estimator.sums.dot(w).argmin()
         else:
             col = 0
             for u in users:
@@ -300,7 +300,7 @@ def _step_batched(ctl: _Controller, t0: int, n: int, ev, pen, qa, ms) -> None:
             for j, estimator in estimators:
                 if revealed is not None:
                     estimator.push(revealed[j])
-                cols[j] = estimator.sums.dot(w[j]).argmin() if estimator.count else 0
+                cols[j] = estimator.sums.dot(w[j]).argmin()
             ms[i] = cols
         else:
             wf = ev[d + i]

@@ -7,6 +7,7 @@ import math
 import numpy as np
 
 from corrsched import (
+    CollisionUtilityNeg,
     FullTable,
     MinSumUtilityNeg,
     PowerPerUser,
@@ -18,6 +19,17 @@ from corrsched import (
     r_matrix,
 )
 from corrsched.problem import JointDistribution, joint_components
+
+
+def scaled_spec(spec: ProblemSpec, lam: float) -> ProblemSpec:
+    """The same instance with every penalty and budget multiplied by lam."""
+    return ProblemSpec(
+        action_sizes=spec.action_sizes,
+        event_sizes=spec.event_sizes,
+        distribution=spec.distribution,
+        penalties=tuple(WeightedSum(coefficients=(lam,), children=(pen,)) for pen in spec.penalties),
+        constraints=tuple(lam * c for c in spec.constraints),
+    )
 
 
 def random_product_distribution(rng, event_sizes) -> ProductDistribution:
@@ -181,4 +193,50 @@ def random_separable_spec(
         distribution=dist,
         penalties=tuple(penalties),
         constraints=feasible_constraints(rng, stub, k, slack=(0.05, 0.4), anchor=anchor),
+    )
+
+
+def random_family_spec(rng) -> ProblemSpec:
+    """Instance whose penalties use every penalty family once, in a random
+    order, plus a WeightedSum nested in a WeightedSum; for file-format tests,
+    so its constraints are arbitrary."""
+    n = int(rng.integers(1, 4))
+    action_sizes = tuple(int(rng.integers(2, 4)) for _ in range(n))
+    event_sizes = tuple(int(rng.integers(1, 4)) for _ in range(n))
+
+    def product_form():
+        return ProductForm(
+            phis=tuple(rng.uniform(0.1, 1.0, w) for w in event_sizes),
+            psis=tuple(rng.uniform(0.0, 1.0, a) for a in action_sizes),
+        )
+
+    families = [
+        FullTable(rng.uniform(-1.0, 1.0, (math.prod(event_sizes), math.prod(action_sizes)))),
+        PowerPerUser(user=int(rng.integers(0, n))),
+        MinSumUtilityNeg(
+            weights=tuple(rng.uniform(0.0, 1.0, w) for w in event_sizes),
+            cap=float(rng.uniform(0.2, 2.0)),
+        ),
+        CollisionUtilityNeg(),
+        product_form(),
+        WeightedSum(
+            coefficients=(float(rng.uniform(0, 2)), float(rng.uniform(0, 2))),
+            children=(
+                PowerPerUser(user=0),
+                WeightedSum(coefficients=(float(rng.uniform(0, 2)),), children=(product_form(),)),
+            ),
+        ),
+    ]
+    penalties = tuple(families[i] for i in rng.permutation(len(families)))
+    dist = (
+        random_joint_distribution(rng, event_sizes)
+        if rng.integers(0, 2)
+        else random_product_distribution(rng, event_sizes)
+    )
+    return ProblemSpec(
+        action_sizes=action_sizes,
+        event_sizes=event_sizes,
+        distribution=dist,
+        penalties=penalties,
+        constraints=tuple(float(c) for c in rng.uniform(0.0, 1.0, len(penalties) - 1)),
     )

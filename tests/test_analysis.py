@@ -10,7 +10,13 @@ from corrsched import analysis, fixtures, optimizer
 from corrsched.simplex import LpProblem, LpStatus, solve_lp
 
 import oracles
-from specgen import feasible_constraints, random_preferred_spec, random_separable_spec, random_spec
+from specgen import (
+    feasible_constraints,
+    random_preferred_spec,
+    random_separable_spec,
+    random_spec,
+    scaled_spec,
+)
 
 
 def test_verify_counterexample_exact():
@@ -282,14 +288,7 @@ def test_epsilon_max_two_sensor(two_sensor):
 def test_epsilon_max_scales_with_the_penalties(two_sensor, lam):
     # every penalty and budget times lam: the slack is lam times the unscaled 1/3
     spec, strategies = two_sensor
-    scaled = cs.ProblemSpec(
-        action_sizes=spec.action_sizes,
-        event_sizes=spec.event_sizes,
-        distribution=spec.distribution,
-        penalties=tuple(cs.WeightedSum(children=(pen,), coefficients=(lam,)) for pen in spec.penalties),
-        constraints=tuple(lam * c for c in spec.constraints),
-    )
-    assert cs.epsilon_max(scaled, strategies) == pytest.approx(lam / 3, rel=1e-9)
+    assert cs.epsilon_max(scaled_spec(spec, lam), strategies) == pytest.approx(lam / 3, rel=1e-9)
 
 
 def test_epsilon_max_infeasible_raises(two_sensor):

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import typing
 from pathlib import Path
 from unittest import mock
 
@@ -10,7 +11,7 @@ import corrsched as cs
 from corrsched import fileio, fixtures, simplex
 from corrsched.problem import penalty_tables
 
-from specgen import random_spec
+from specgen import random_family_spec, random_spec
 
 FIXDIR = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -38,10 +39,10 @@ def test_spec_round_trip(tmp_path, builder):
 
 
 def test_random_spec_round_trip(tmp_path, rng):
-    spec = random_spec(rng)
     path = tmp_path / "spec.json"
-    fileio.save_spec(spec, path)
-    assert _specs_equal(fileio.load_spec(path), spec)
+    for spec in (random_spec(rng), random_family_spec(rng)):
+        fileio.save_spec(spec, path)
+        assert _specs_equal(fileio.load_spec(path), spec)
 
 
 @pytest.mark.parametrize(
@@ -74,6 +75,25 @@ def test_users_field_mismatch_rejected(tmp_path):
     obj["users"] = 3
     with pytest.raises(ValueError):
         fileio.spec_from_dict(obj)
+
+
+def test_spec_file_bytes_pinned():
+    # SHA-256 of the spec JSON written when each penalty kind had its own
+    # hand-written schema in fileio: the three fixtures, then 20 seeded specs
+    # that mix every family, a WeightedSum nested in a WeightedSum included
+    specs = [fixtures.two_sensor_spec(), fixtures.three_sensor_spec(), fixtures.counterexample_spec()]
+    specs += [random_family_spec(np.random.default_rng(seed)) for seed in range(20)]
+    digest = hashlib.sha256()
+    for spec in specs:
+        digest.update(json.dumps(fileio.spec_to_dict(spec), indent=2).encode())
+    assert digest.hexdigest() == "4721a1dbc52fb52339dd4accd29eefcff63749c1913699751180aeb7a2c2bfc0"
+
+
+def test_penalty_kinds_cover_every_family():
+    kinds = cs.problem.PENALTY_KINDS
+    families = typing.get_args(cs.problem.PenaltyFn)
+    assert len(kinds) == len(families)
+    assert all(kinds[cls.kind] is cls for cls in families)
 
 
 def test_unknown_penalty_kind_rejected():
@@ -290,6 +310,33 @@ def test_cli_missing_key_is_one_line(tmp_path, capsys):
     spec = _spec_file(tmp_path, obj)
     err = _cli_error(capsys, ["solve", "--spec", spec, "--out", str(tmp_path / "x.json")])
     assert "missing key 'constraints'" in err
+
+
+@pytest.mark.parametrize(
+    "field,damage",
+    [
+        ("penalties", lambda spec, phases: spec["penalties"][0].pop("kind")),
+        ("penalties", lambda spec, phases: spec["penalties"][1].update(params={})),
+        ("penalties", lambda spec, phases: spec["penalties"][1]["params"].update(watts=1.0)),
+        ("phases", lambda spec, phases: phases["phases"][0].pop("start")),
+        ("phases", lambda spec, phases: phases["phases"][0].pop("end")),
+        ("phases", lambda spec, phases: phases["phases"][1].pop("distribution")),
+    ],
+    ids=["no-kind", "no-params", "unknown-param", "no-start", "no-end", "no-distribution"],
+)
+def test_cli_malformed_nested_entry_is_one_line(tmp_path, capsys, field, damage):
+    spec = fixtures.two_sensor_spec()
+    fileio.save_phases([cs.Phase(0, 3, spec.distribution), cs.Phase(3, 5, spec.distribution)],
+                       tmp_path / "phases.json")
+    spec_obj = fileio.spec_to_dict(spec)
+    phases_obj = json.loads((tmp_path / "phases.json").read_text())
+    damage(spec_obj, phases_obj)
+    paths = {"penalties": _spec_file(tmp_path, spec_obj),
+             "phases": _spec_file(tmp_path, phases_obj, name="phases.json")}
+    argv = ["simulate", "--spec", paths["penalties"], "--v", "1", "--slots", "5", "--seed", "1",
+            "--phases", paths["phases"], "--out", str(tmp_path / "run")]
+    err = _cli_error(capsys, argv)
+    assert f"ValueError: {paths[field]}: field {field!r}: " in err
 
 
 def test_cli_infeasible_is_one_line(tmp_path, capsys):

@@ -10,7 +10,8 @@ from corrsched import fixtures
 from corrsched.strategy import strategy_event_penalties
 
 import oracles
-from specgen import random_separable_spec
+from specgen import random_separable_spec, scaled_spec
+from test_kernel import separable_spec
 
 
 def test_dpp_select_two_sensor(two_sensor):
@@ -100,6 +101,14 @@ def test_separable_rejects_saturating_utility(two_sensor):
     spec, _ = two_sensor
     with pytest.raises(cs.NotSeparable):
         cs.separable_components(spec)
+
+
+@pytest.mark.parametrize("lam", [1e-10, 1e-6, 1.0, 1e6])
+def test_separable_check_does_not_depend_on_units(two_sensor, lam):
+    spec, _ = two_sensor
+    with pytest.raises(cs.NotSeparable):
+        cs.separable_components(scaled_spec(spec, lam))
+    cs.separable_components(scaled_spec(separable_spec(), lam))
 
 
 def test_separable_matches_exhaustive_on_random_specs(rng):

@@ -6,7 +6,7 @@ from corrsched import fixtures
 from corrsched.simplex import Infeasible
 
 import oracles
-from specgen import random_spec
+from specgen import random_spec, scaled_spec
 
 
 def test_distributed_lp_two_sensor(two_sensor):
@@ -180,6 +180,14 @@ def test_oracle_two_sensor(two_sensor):
     assert cs.brute_force_distributed_oracle(spec, strategies) == pytest.approx(
         -23 / 48, abs=1e-12
     )
+
+
+@pytest.mark.parametrize("lam", [1e-12, 1e-9, 1e-6, 1.0, 1e6, 1e9])
+def test_oracle_scales_with_the_penalties(two_sensor, lam):
+    # every penalty and budget times lam: the optimum is lam times -23/48
+    spec, strategies = two_sensor
+    oracle = cs.brute_force_distributed_oracle(scaled_spec(spec, lam), strategies)
+    assert oracle == pytest.approx(-23 / 48 * lam, rel=1e-12, abs=0.0)
 
 
 def test_oracle_unconstrained_is_min_r0(two_sensor):
