@@ -25,6 +25,7 @@ from .strategy import (
     enumerate_nondecreasing,
     prune_applicable,
     r_matrix,
+    strategy_event_penalties,
     user_map_counts,
 )
 
@@ -226,9 +227,10 @@ def audit_bounds(
     bound constrains an expectation and the trace is one sample path.  The
     queue (sample-path) check needs a stride-1 trace with metadata.
     """
-    r = r_matrix(spec, strategies)
+    event_pen = strategy_event_penalties(spec, strategies)
+    r = r_matrix(spec, strategies, event_pen)
     p0_opt = solve_distributed_lp(spec, strategies, r=r).objective
-    b_const = compute_B(spec, strategies)
+    b_const = compute_B(spec, strategies, event_pen)
     pbar0 = -trace.ubar
     counts = trace.t.astype(float) + 1.0
     var_p0 = float(np.var(trace.u))
@@ -237,12 +239,7 @@ def audit_bounds(
     # post-warm-up queue energy is deterministic (nonzero only for c_k < 0)
     c = np.asarray(spec.constraints, dtype=float)
     l_d = 0.5 * float(np.sum((dpp.delay * np.maximum(-c, 0.0)) ** 2))
-    bounds = np.array(
-        [
-            performance_bound(b_const, dpp.delay, dpp.v, int(n), l_d, p0_opt)
-            for n in counts
-        ]
-    )
+    bounds = performance_bound(b_const, dpp.delay, dpp.v, counts, l_d, p0_opt)
     margins = pbar0 - bounds - slack
     worst = float(margins.max())
 
@@ -280,13 +277,14 @@ def audit_slater(
     Uses the conservative gap constant, so the envelope is loose by design;
     a violation signals a real problem.
     """
-    r = r_matrix(spec, strategies)
+    event_pen = strategy_event_penalties(spec, strategies)
+    r = r_matrix(spec, strategies, event_pen)
     p0_opt = solve_distributed_lp(spec, strategies, r=r).objective
     eps = epsilon_max(spec, strategies, r=r)
     if eps <= 0:
         raise Infeasible("no uniform slack; the envelope needs a Slater point")
     delta_max = queue_change_bound(spec)
-    a_const = compute_B(spec, strategies) + compute_F(spec, r, p0_opt) * v
+    a_const = compute_B(spec, strategies, event_pen) + compute_F(spec, r, p0_opt) * v
     worst = -math.inf
     for t in range(1, ensemble.horizon):
         bound = slater_queue_bound(a_const, eps, delta_max, t)

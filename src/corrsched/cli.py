@@ -12,8 +12,7 @@ from .online import DppConfig, NotSeparable
 from .optimizer import solve_distributed_lp
 from .problem import CapExceeded, validate_spec
 from .simplex import Infeasible, IterationLimit
-from .simulator import SimConfig, read_trace, run_ensemble, run_episode, write_ensemble, write_trace
-from .strategy import enumerate_all, enumerate_nondecreasing, prune_applicable
+from .simulator import SimConfig, read_trace, resolve_strategies, run_ensemble, run_episode, write_ensemble, write_trace
 
 
 def _load_checked_spec(path):
@@ -24,17 +23,9 @@ def _load_checked_spec(path):
     return spec
 
 
-def _pick_strategies(spec, prune: str):
-    if prune == "off":
-        return enumerate_all(spec)
-    if prune == "force":
-        return enumerate_nondecreasing(spec)
-    return enumerate_nondecreasing(spec) if prune_applicable(spec) else enumerate_all(spec)
-
-
 def _cmd_solve(args) -> int:
     spec = _load_checked_spec(args.spec)
-    strategies = _pick_strategies(spec, args.prune)
+    strategies = resolve_strategies(spec)
     policy = solve_distributed_lp(spec, strategies)
     fileio.save_policy(spec, policy, args.out)
     print(f"strategies considered: {len(strategies)}")
@@ -55,31 +46,16 @@ def _cmd_simulate(args) -> int:
         mode=args.mode,
         window=args.window if args.mode == "approx" else None,
     )
-    strategies = None
-    if args.mode != "separable":
-        strategies = _pick_strategies(spec, args.prune)
     config = SimConfig(
         spec=spec,
         dpp=dpp,
         horizon=args.slots,
         seed=args.seed,
-        strategies=strategies,
         phases=phases,
         runs=args.runs,
         stride=args.stride,
     )
-    run_config = {
-        "v": args.v,
-        "delay": args.delay,
-        "window": args.window,
-        "mode": args.mode,
-        "slots": args.slots,
-        "seed": args.seed,
-        "runs": args.runs,
-        "stride": args.stride,
-        "prune": args.prune,
-        "spec": str(args.spec),
-    }
+    run_config = {k: v for k, v in vars(args).items() if k not in ("command", "func", "out")}
     if args.runs > 1:
         ensemble = run_ensemble(config)
         mean_u = ensemble.mean_u.mean()
@@ -115,8 +91,7 @@ def _cmd_analyze(args) -> int:
         mode=run_config.get("mode", "exact"),
         window=run_config.get("window"),
     )
-    strategies = _pick_strategies(spec, run_config.get("prune", "auto"))
-    report = analysis.audit_bounds(trace, spec, strategies, dpp)
+    report = analysis.audit_bounds(trace, spec, resolve_strategies(spec), dpp)
     print(f"optimal objective: {report.p0_opt:.12g} (utility {-report.p0_opt:.12g})")
     print(f"drift constant B: {report.b_const:.12g}")
     print(f"performance bound: {'ok' if report.perf_ok else 'VIOLATED'} "
@@ -153,7 +128,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("solve", help="compute the optimal correlated policy")
     p.add_argument("--spec", required=True)
-    p.add_argument("--prune", choices=fileio.PRUNE_CHOICES, default="auto")
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_solve)
 
@@ -165,7 +139,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--slots", type=int, required=True)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--mode", choices=["exact", "approx", "separable"], default="exact")
-    p.add_argument("--prune", choices=fileio.PRUNE_CHOICES, default="auto")
     p.add_argument("--phases", default=None)
     p.add_argument("--runs", type=int, default=1)
     p.add_argument("--stride", type=int, default=100)

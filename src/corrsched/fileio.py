@@ -195,10 +195,9 @@ def save_metrics(metrics: Metrics, path, config: dict[str, Any] | None = None) -
     save_json(metrics_to_dict(metrics, config), path)
 
 
-PRUNE_CHOICES = ("auto", "off", "force")
 # JSON types of the run-config fields an analysis reads, of which v and delay
 # must be present; other entries pass through
-_RUN_TYPES = dict(v=(int, float), delay=int, window=(int, type(None)), mode=str, prune=str)
+_RUN_TYPES = dict(v=(int, float), delay=int, window=(int, type(None)), mode=str)
 _RUN_REQUIRED = ("v", "delay")
 
 
@@ -206,18 +205,27 @@ def _run_field(config: dict[str, Any], key: str):
     def check(value):
         if isinstance(value, bool) or not isinstance(value, _RUN_TYPES[key]):
             raise TypeError(f"wrong type {type(value).__name__}")
-        if key == "prune" and value not in PRUNE_CHOICES:
-            raise ValueError(f"{value!r} is not one of {', '.join(PRUNE_CHOICES)}")
         return value
 
     return _field(config, key, check)
 
 
 def load_run_config(path) -> dict[str, Any]:
-    """Read a run-config JSON (a bare config or a metrics file) and check the fields above."""
+    """Read a run-config JSON (a bare config or a metrics file) and check the fields above.
+
+    Metrics files of earlier versions carry a ``prune`` entry.  Its default
+    "auto" is the strategy set an analysis rebuilds from the spec; a run made
+    on any other set cannot be audited, since its drift constant B would come
+    out wrong.
+    """
 
     def parse(obj):
         config = _field(obj, "config", _object) if "config" in obj else obj
+        if config.get("prune", "auto") != "auto":
+            raise ValueError(
+                f"field 'prune': a {config['prune']!r} run used a strategy set other than the "
+                "one analyze rebuilds from the spec; only 'auto' runs can be audited"
+            )
         checked = [key for key in _RUN_TYPES if key in config or key in _RUN_REQUIRED]
         return {**config, **{key: _run_field(config, key) for key in checked}}
 

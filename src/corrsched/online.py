@@ -160,12 +160,12 @@ def compute_F(spec: ProblemSpec, r: np.ndarray, p0_opt: float) -> float:
 
 
 def performance_bound(
-    b: float, delay: int, v: float, t: int, l_d: float, p0_opt: float
-) -> float:
-    """Upper bound on the running mean of p_0 after t slots."""
+    b: float, delay: int, v: float, t: int | np.ndarray, l_d: float, p0_opt: float
+) -> float | np.ndarray:
+    """Upper bound on the running mean of p_0 after t slots, for one t or an array of them."""
     if v <= 0:
         raise ValueError("V must be positive for the performance bound")
-    if t <= 0:
+    if np.any(np.asarray(t) <= 0):
         raise ValueError("t must be positive")
     return p0_opt + b * (1 + 2 * delay) / v + l_d / (v * t)
 

@@ -76,10 +76,9 @@ def solve_distributed_lp(
     if r is None:
         r = r_matrix(spec, strategies)
     m = len(strategies)
-    k = spec.n_constraints
     lp = LpProblem(
         cost=r[:, 0],
-        a_ub=r[:, 1:].T if k else np.zeros((0, m)),
+        a_ub=r[:, 1:].T,
         b_ub=np.asarray(spec.constraints),
         a_eq=np.ones((1, m)),
         b_eq=np.array([1.0]),
@@ -91,7 +90,7 @@ def solve_distributed_lp(
     support_idx = [int(i) for i in np.flatnonzero(theta > SUPPORT_TOL)]
     rows = np.asarray(strategies)[support_idx]  # a copy: the policy must not pin the whole set
     support = [(row, float(theta[i])) for row, i in zip(rows, support_idx)]
-    achieved = theta @ r[:, 1:] if k else np.zeros(0)
+    achieved = theta @ r[:, 1:]
     return CorrelatedPolicy(
         support=support,
         objective=float(sol.objective),
@@ -116,8 +115,7 @@ def solve_centralized_lp(spec: ProblemSpec) -> CentralizedPolicy:
     pi = flat_event_probabilities(spec.distribution, spec.event_sizes)
     weighted = tables * pi[None, :, None]
     cost = weighted[0].reshape(-1)
-    k = spec.n_constraints
-    a_ub = weighted[1:].reshape(k, n_var) if k else np.zeros((0, n_var))
+    a_ub = weighted[1:].reshape(spec.n_constraints, n_var)
     a_eq = np.zeros((n_o, n_var))
     for w in range(n_o):
         a_eq[w, w * n_a : (w + 1) * n_a] = 1.0
@@ -133,7 +131,7 @@ def solve_centralized_lp(spec: ProblemSpec) -> CentralizedPolicy:
     if sol.status is not LpStatus.OPTIMAL:
         raise Infeasible(f"centralized LP is {sol.status.value}")
     conditionals = sol.x.reshape(n_o, n_a)
-    achieved = a_ub @ sol.x if k else np.zeros(0)
+    achieved = a_ub @ sol.x
     return CentralizedPolicy(
         conditionals=conditionals,
         objective=float(sol.objective),

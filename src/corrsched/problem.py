@@ -145,6 +145,13 @@ def skip_event_draws(distribution: EventDistribution, rng: np.random.Generator, 
 # ---------------------------------------------------------------------------
 
 
+def _check_per_user(name: str, vectors, sizes) -> None:
+    """Raise ValueError unless vectors holds one (sizes[i],) vector for each user i."""
+    shapes = [np.shape(v) for v in vectors]
+    if shapes != [(n,) for n in sizes]:
+        raise ValueError(f"{name} must be one vector per user of lengths {list(sizes)}, not {shapes}")
+
+
 @dataclass(frozen=True, eq=False)
 class FullTable:
     """Dense penalty values indexed [event_flat, action_flat]."""
@@ -178,6 +185,8 @@ class PowerPerUser:
         object.__setattr__(self, "user", int(self.user))
 
     def expand(self, action_sizes, event_sizes) -> np.ndarray:
+        if not 0 <= self.user < len(action_sizes):
+            raise ValueError(f"user {self.user} is not in [0, {len(action_sizes)})")
         n_omega = math.prod(event_sizes)
         comp = joint_components(action_sizes)[:, self.user].astype(float)
         return np.tile(comp, (n_omega, 1))
@@ -203,6 +212,7 @@ class MinSumUtilityNeg:
         object.__setattr__(self, "cap", float(self.cap))
 
     def expand(self, action_sizes, event_sizes) -> np.ndarray:
+        _check_per_user("weights", self.weights, event_sizes)
         omega_comp = joint_components(event_sizes)
         alpha_comp = joint_components(action_sizes)
         total = np.zeros((math.prod(event_sizes), math.prod(action_sizes)))
@@ -249,6 +259,8 @@ class WeightedSum:
         object.__setattr__(self, "children", tuple(self.children))
 
     def expand(self, action_sizes, event_sizes) -> np.ndarray:
+        if len(self.coefficients) != len(self.children):
+            raise ValueError(f"{len(self.coefficients)} coefficients for {len(self.children)} children")
         out = np.zeros((math.prod(event_sizes), math.prod(action_sizes)))
         for w, child in zip(self.coefficients, self.children):
             out += w * child.expand(action_sizes, event_sizes)
@@ -269,6 +281,8 @@ class ProductForm:
         object.__setattr__(self, "psis", tuple(np.asarray(p, dtype=float) for p in self.psis))
 
     def expand(self, action_sizes, event_sizes) -> np.ndarray:
+        _check_per_user("phis", self.phis, event_sizes)
+        _check_per_user("psis", self.psis, action_sizes)
         omega_comp = joint_components(event_sizes)
         alpha_comp = joint_components(action_sizes)
         phi = np.ones(omega_comp.shape[0])

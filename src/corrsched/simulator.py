@@ -67,7 +67,7 @@ class SimConfig:
     dpp: DppConfig
     horizon: int
     seed: int
-    strategies: np.ndarray | None = None
+    strategies: np.ndarray | None = None  # None: resolve_strategies(spec)
     phases: Sequence[Phase] | None = None
     runs: int = 1
     stride: int = 100
@@ -90,11 +90,6 @@ class Trace:
 
     def __len__(self) -> int:
         return len(self.t)
-
-    @property
-    def max_pbar(self) -> np.ndarray:
-        """Worst running constraint average at each recorded slot."""
-        return self.pbar.max(axis=1)
 
 
 @dataclass(eq=False)
@@ -119,12 +114,15 @@ class EnsembleMetrics:
     per_run: list[Metrics]
 
 
-def resolve_strategies(config: SimConfig) -> np.ndarray:
-    if config.strategies is not None:
-        return np.asarray(config.strategies)
-    if prune_applicable(config.spec):
-        return enumerate_nondecreasing(config.spec)
-    return enumerate_all(config.spec)
+def resolve_strategies(spec: ProblemSpec) -> np.ndarray:
+    """The strategy set a spec is solved and controlled over when none is given.
+
+    The non-decreasing (threshold) strategies when ``prune_applicable`` shows
+    they lose nothing, every strategy otherwise.
+    """
+    if prune_applicable(spec):
+        return enumerate_nondecreasing(spec)
+    return enumerate_all(spec)
 
 
 def _resolve_phases(config: SimConfig) -> list[Phase]:
@@ -196,7 +194,8 @@ def _controller(config: SimConfig, runs: int) -> _Controller:
         )
     event_pen = config.event_penalties
     if event_pen is None:
-        event_pen = strategy_event_penalties(spec, resolve_strategies(config))
+        strategies = resolve_strategies(spec) if config.strategies is None else config.strategies
+        event_pen = strategy_event_penalties(spec, strategies)
     estimators = None
     if dpp.mode == "approx":
         estimators = [RollingEstimator(event_pen, dpp.window) for _ in range(runs)]

@@ -316,6 +316,13 @@ def test_audit_bounds_two_sensor(two_sensor):
     assert report.perf_ok, f"worst margin {report.worst_perf_margin}"
     assert report.queue_ok
     assert report.queue_bound_max_residual <= 1e-9
+    # pinned bit for bit
+    pinned = (report.p0_opt, report.b_const, report.worst_perf_margin,
+              report.queue_bound_max_residual)
+    assert [float.hex(x) for x in pinned] == [
+        "-0x1.eaaaaaaaaaaaap-2", "0x1.471c71c71c71dp-2", "-0x1.c713514fc0ad1p-7",
+        "0x1.2000000000000p-50",
+    ]
 
 
 def test_audit_slater_two_sensor(two_sensor):

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import typing
@@ -161,26 +162,28 @@ def test_cli_solve_and_compare(tmp_path, capsys):
 
 
 def test_cli_simulate_and_analyze(tmp_path, capsys):
-    from corrsched.cli import main
+    from corrsched.cli import build_parser, main
 
     prefix = tmp_path / "run"
-    rc = main(
-        [
-            "simulate",
-            "--spec", str(FIXDIR / "two_sensor.json"),
-            "--v", "50",
-            "--delay", "0",
-            "--slots", "5000",
-            "--seed", "3",
-            "--mode", "exact",
-            "--stride", "1",
-            "--out", str(prefix),
-        ]
-    )
+    argv = [
+        "simulate",
+        "--spec", str(FIXDIR / "two_sensor.json"),
+        "--v", "50",
+        "--delay", "0",
+        "--slots", "5000",
+        "--seed", "3",
+        "--mode", "exact",
+        "--stride", "1",
+        "--out", str(prefix),
+    ]
+    rc = main(argv)
     assert rc == 0
     capsys.readouterr()
-    assert (tmp_path / "run.metrics").exists()
     assert (tmp_path / "run.trace.csv").exists()
+    # the metrics file echoes every parsed option but the output prefix
+    echo = json.loads((tmp_path / "run.metrics").read_text())["config"]
+    parsed = vars(build_parser().parse_args(argv))
+    assert echo == {k: v for k, v in parsed.items() if k not in ("command", "func", "out")}
 
     rc = main(
         [
@@ -199,18 +202,21 @@ def test_cli_simulate_and_analyze(tmp_path, capsys):
 def test_cli_solve_prune_modes(tmp_path, capsys):
     from corrsched.cli import main
 
-    # pruning on, off, or forced must not change the optimum here
-    for prune in ("auto", "off", "force"):
-        out = tmp_path / f"policy_{prune}.json"
-        rc = main(
-            ["solve", "--spec", str(FIXDIR / "two_sensor.json"),
-             "--prune", prune, "--out", str(out)]
-        )
-        text = capsys.readouterr().out
-        assert rc == 0
-        assert "utility: 0.479166666667" in text
-        expected = {"auto": 9, "off": 16, "force": 9}[prune]
-        assert f"strategies considered: {expected}" in text
+    # the two-sensor spec passes the pruning test, so only its 9 monotone
+    # strategies are solved over
+    spec, out = str(FIXDIR / "two_sensor.json"), str(tmp_path / "policy.json")
+    assert main(["solve", "--spec", spec, "--out", out]) == 0
+    text = capsys.readouterr().out
+    assert "utility: 0.479166666667" in text
+    assert "strategies considered: 9" in text
+    # the strategy set follows from the spec; there is no option to pick it
+    for argv in (["solve", "--spec", spec, "--prune", "off", "--out", out],
+                 ["simulate", "--spec", spec, "--v", "1", "--slots", "5", "--seed", "1",
+                  "--prune", "auto", "--out", str(tmp_path / "run")]):
+        with pytest.raises(SystemExit) as info:
+            main(argv)
+        assert info.value.code == 2
+        assert "unrecognized arguments: --prune" in capsys.readouterr().err
 
 
 def test_cli_simulate_ensemble_with_phases(tmp_path, capsys):
@@ -348,15 +354,16 @@ def test_cli_infeasible_is_one_line(tmp_path, capsys):
 
 
 def test_cli_cap_exceeded_is_one_line(tmp_path, capsys):
+    # correlated events rule pruning out, so solve needs all 3^14 strategies
     big = cs.ProblemSpec(
         action_sizes=(3, 3),
         event_sizes=(7, 7),
-        distribution=cs.ProductDistribution((np.full(7, 1 / 7), np.full(7, 1 / 7))),
+        distribution=cs.JointDistribution(np.full((7, 7), 1 / 49)),
         penalties=(cs.FullTable(np.zeros((49, 9))),),
         constraints=(),
     )
     spec = _spec_file(tmp_path, fileio.spec_to_dict(big))
-    argv = ["solve", "--spec", spec, "--prune", "off", "--out", str(tmp_path / "x.json")]
+    argv = ["solve", "--spec", spec, "--out", str(tmp_path / "x.json")]
     assert "CapExceeded" in _cli_error(capsys, argv)
 
 
@@ -385,6 +392,40 @@ def test_cli_invalid_spec_is_one_line(tmp_path, capsys):
     spec = _spec_file(tmp_path, obj)
     err = _cli_error(capsys, ["solve", "--spec", spec, "--out", str(tmp_path / "x.json")])
     assert "ValueError: invalid spec: " in err
+
+
+_W0, _W1 = np.array([0.0, 1.0]), np.array([0.0, 0.5])
+
+
+@pytest.mark.parametrize(
+    "k,penalty,message",
+    [
+        (1, cs.PowerPerUser(-1), "user -1 is not in [0, 2)"),
+        (2, cs.PowerPerUser(2), "user 2 is not in [0, 2)"),
+        (0, cs.MinSumUtilityNeg((_W0,), 1.0),
+         "weights must be one vector per user of lengths [2, 2], not [(2,)]"),
+        (0, cs.MinSumUtilityNeg((_W0, np.zeros(3)), 1.0),
+         "weights must be one vector per user of lengths [2, 2], not [(2,), (3,)]"),
+        (0, cs.ProductForm((_W0,), (_W1,)),
+         "phis must be one vector per user of lengths [2, 2], not [(2,)]"),
+        (0, cs.ProductForm((_W0, _W1), (_W1, _W0, _W1)),
+         "psis must be one vector per user of lengths [2, 2], not [(2,), (2,), (2,)]"),
+        (0, cs.WeightedSum((1.0,), (cs.PowerPerUser(0), cs.PowerPerUser(1))),
+         "1 coefficients for 2 children"),
+    ],
+    ids=["user-negative", "user-too-large", "weights-short", "weights-long-entry",
+         "phis-short", "psis-long", "coefficients-short"],
+)
+def test_per_user_params_must_fit_the_spec(tmp_path, capsys, k, penalty, message):
+    spec = fixtures.two_sensor_spec()
+    penalties = list(spec.penalties)
+    penalties[k] = penalty
+    spec = dataclasses.replace(spec, penalties=tuple(penalties))
+    violation = f"penalty {k} cannot be evaluated: {message}"
+    assert cs.validate_spec(spec).violations == [violation]
+    path = _spec_file(tmp_path, fileio.spec_to_dict(spec))
+    err = _cli_error(capsys, ["solve", "--spec", path, "--out", str(tmp_path / "x.json")])
+    assert f"ValueError: invalid spec: {violation}\n" in err
 
 
 def test_cli_spec_not_an_object_is_one_line(tmp_path, capsys):
@@ -432,6 +473,23 @@ def test_cli_run_config_field_of_wrong_type_is_one_line(tmp_path, capsys, config
             "--spec", str(FIXDIR / "two_sensor.json"), "--config", path]
     err = _cli_error(capsys, argv)
     assert f"ValueError: {path}: field {field!r}: " in err
+
+
+@pytest.mark.parametrize("prune", ["off", "force"])
+def test_cli_run_config_on_another_strategy_set_is_one_line(tmp_path, capsys, prune):
+    path = _spec_file(tmp_path, {"v": 1.0, "delay": 0, "prune": prune}, name="run.metrics")
+    argv = ["analyze", "--trace", str(tmp_path / "run.trace.csv"),
+            "--spec", str(FIXDIR / "two_sensor.json"), "--config", path]
+    err = _cli_error(capsys, argv)
+    assert (f"ValueError: {path}: field 'prune': a {prune!r} run used a strategy set other "
+            "than the one analyze rebuilds from the spec; only 'auto' runs can be audited") in err
+
+
+def test_run_config_with_auto_prune_loads(tmp_path):
+    # metrics files of earlier versions echo "prune": "auto" for default runs
+    config = {"v": 50.0, "delay": 0, "window": None, "mode": "exact", "prune": "auto"}
+    path = _spec_file(tmp_path, {"slots": 5, "config": config}, name="run.metrics")
+    assert fileio.load_run_config(path) == config
 
 
 @pytest.mark.parametrize("config,field", [({"delay": 0}, "v"), ({"v": 1.0}, "delay")])

@@ -156,8 +156,15 @@ def test_performance_bound_arithmetic():
     gap1 = cs.performance_bound(1.0, 3, 10.0, 10**9, 0.0, 0.0)
     gap2 = cs.performance_bound(1.0, 3, 20.0, 10**9, 0.0, 0.0)
     assert gap1 == pytest.approx(2 * gap2, rel=1e-9)
+    # an array of t gives the scalar bound at each t, bit for bit
+    ts = np.array([1.0, 7.0, 1e6])
+    assert list(cs.performance_bound(1.0, 2, 10.0, ts, 5.0, -0.25)) == [
+        cs.performance_bound(1.0, 2, 10.0, int(t), 5.0, -0.25) for t in ts
+    ]
     with pytest.raises(ValueError):
         cs.performance_bound(1.0, 0, 0.0, 10, 0.0, 0.0)
+    with pytest.raises(ValueError):
+        cs.performance_bound(1.0, 0, 1.0, np.array([3.0, 0.0]), 0.0, 0.0)
 
 
 def test_slater_queue_bound_values():

@@ -8,7 +8,7 @@ from corrsched import fixtures
 from corrsched.problem import flat_event_probabilities, penalty_tables
 
 import oracles
-from specgen import random_spec
+from specgen import random_family_spec, random_spec
 
 
 def test_two_sensor_spec_validates(two_sensor):
@@ -54,6 +54,13 @@ def test_penalty_length_mismatch_reported():
         constraints=spec.constraints,
     )
     assert not cs.validate_spec(bad).ok
+
+
+def test_random_family_specs_validate():
+    # every penalty family, a nested WeightedSum included, with per-user
+    # params that fit the spec passes its per-user checks
+    for seed in range(100):
+        assert cs.validate_spec(random_family_spec(np.random.default_rng(seed))).ok
 
 
 def test_eval_penalty_two_sensor_values(two_sensor):

@@ -265,12 +265,6 @@ def test_summarize_requires_full_resolution(two_sensor):
         cs.summarize(trace)
 
 
-def test_max_pbar_series(two_sensor):
-    spec, strategies = two_sensor
-    _, trace = cs.run_episode(_cfg(spec, strategies, horizon=200))
-    assert np.array_equal(trace.max_pbar, trace.pbar.max(axis=1))
-
-
 def test_summarize_flags_inconsistent_traces(two_sensor):
     spec, strategies = two_sensor
     _, trace = cs.run_episode(_cfg(spec, strategies, v=10.0, delay=5, horizon=3000))
