@@ -3,8 +3,9 @@
 Offline: enumerate pure strategies, prune to monotone ones when sound, and
 solve the correlated-randomization LP whose basic optima need at most K+1
 support strategies.  Online: drift-plus-penalty control with virtual queues
-and delayed feedback, exact or estimated expected penalties, plus a
-separable fast path.  A seeded simulator and bound audits round it out.
+and delayed feedback, exact or estimated expected penalties; exact control
+of a spec whose penalties split per user runs a per-user argmin with no
+enumeration.  A seeded simulator and bound audits round it out.
 """
 
 from .problem import (
@@ -37,13 +38,11 @@ from .optimizer import (
     CorrelatedPolicy,
     brute_force_distributed_oracle,
     sample_strategies,
-    sample_strategy,
     solve_centralized_lp,
     solve_distributed_lp,
 )
 from .online import (
     DppConfig,
-    NotSeparable,
     RollingEstimator,
     compute_B,
     compute_F,

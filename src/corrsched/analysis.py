@@ -285,10 +285,8 @@ def audit_slater(
         raise Infeasible("no uniform slack; the envelope needs a Slater point")
     delta_max = queue_change_bound(spec)
     a_const = compute_B(spec, strategies, event_pen) + compute_F(spec, r, p0_opt) * v
-    worst = -math.inf
-    for t in range(1, ensemble.horizon):
-        bound = slater_queue_bound(a_const, eps, delta_max, t)
-        worst = max(worst, float(ensemble.mean_qnorm[t] - bound))
+    bounds = slater_queue_bound(a_const, eps, delta_max, np.arange(1, ensemble.horizon))
+    worst = float(np.max(ensemble.mean_qnorm[1:] - bounds, initial=-math.inf))
     return SlaterReport(
         eps_max=eps,
         delta_max=delta_max,

@@ -8,7 +8,7 @@ import sys
 import numpy as np
 
 from . import analysis, fileio
-from .online import DppConfig, NotSeparable
+from .online import MODES, DppConfig
 from .optimizer import solve_distributed_lp
 from .problem import CapExceeded, validate_spec
 from .simplex import Infeasible, IterationLimit
@@ -40,12 +40,7 @@ def _cmd_solve(args) -> int:
 def _cmd_simulate(args) -> int:
     spec = _load_checked_spec(args.spec)
     phases = fileio.load_phases(args.phases, spec) if args.phases else None
-    dpp = DppConfig(
-        v=args.v,
-        delay=args.delay,
-        mode=args.mode,
-        window=args.window if args.mode == "approx" else None,
-    )
+    dpp = DppConfig(v=args.v, delay=args.delay, mode=args.mode, window=args.window)
     config = SimConfig(
         spec=spec,
         dpp=dpp,
@@ -85,12 +80,10 @@ def _cmd_analyze(args) -> int:
     trace = read_trace(args.trace)
     trace.constraints = spec.constraints
     trace.delay = run_config["delay"]
-    dpp = DppConfig(
-        v=run_config["v"],
-        delay=run_config["delay"],
-        mode=run_config.get("mode", "exact"),
-        window=run_config.get("window"),
-    )
+    mode = run_config.get("mode", "exact")
+    # metrics files of earlier versions echo a --window that an exact run ignored
+    window = run_config.get("window") if mode == "approx" else None
+    dpp = DppConfig(v=run_config["v"], delay=run_config["delay"], mode=mode, window=window)
     report = analysis.audit_bounds(trace, spec, resolve_strategies(spec), dpp)
     print(f"optimal objective: {report.p0_opt:.12g} (utility {-report.p0_opt:.12g})")
     print(f"drift constant B: {report.b_const:.12g}")
@@ -138,7 +131,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--window", type=int, default=None)
     p.add_argument("--slots", type=int, required=True)
     p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--mode", choices=["exact", "approx", "separable"], default="exact")
+    p.add_argument("--mode", choices=MODES, default="exact")
     p.add_argument("--phases", default=None)
     p.add_argument("--runs", type=int, default=1)
     p.add_argument("--stride", type=int, default=100)
@@ -163,7 +156,7 @@ def build_parser() -> argparse.ArgumentParser:
 # Failures caused by the input (files, specs, sizes, options), and an LP the
 # simplex could not finish within its pivot limit: reported as one line and
 # exit code 2, like argparse's own usage errors.
-_INPUT_ERRORS = (ValueError, Infeasible, CapExceeded, NotSeparable, OSError, IterationLimit)
+_INPUT_ERRORS = (ValueError, Infeasible, CapExceeded, OSError, IterationLimit)
 
 
 def _error_line(exc: Exception) -> str:

@@ -16,6 +16,7 @@ from typing import Any
 
 import numpy as np
 
+from .online import MODES
 from .optimizer import CorrelatedPolicy
 from .problem import (
     PENALTY_KINDS,
@@ -148,20 +149,6 @@ def load_phases(path, spec: ProblemSpec) -> list[Phase]:
     return _load(path, lambda obj: _field(obj, "phases", lambda v: [phase(ph) for ph in v]))
 
 
-def save_phases(phases, path) -> None:
-    obj = {
-        "phases": [
-            {
-                "start": ph.start,
-                "end": ph.end,
-                "distribution": _distribution_to_dict(ph.distribution),
-            }
-            for ph in phases
-        ]
-    }
-    save_json(obj, path)
-
-
 def policy_to_dict(spec: ProblemSpec, policy: CorrelatedPolicy) -> dict[str, Any]:
     return {
         "objective": policy.objective,
@@ -205,6 +192,8 @@ def _run_field(config: dict[str, Any], key: str):
     def check(value):
         if isinstance(value, bool) or not isinstance(value, _RUN_TYPES[key]):
             raise TypeError(f"wrong type {type(value).__name__}")
+        if key == "mode" and value not in MODES:
+            raise ValueError(f"unknown mode {value!r}, not one of {', '.join(MODES)}")
         return value
 
     return _field(config, key, check)

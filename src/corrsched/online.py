@@ -3,15 +3,15 @@
 Each constraint carries a virtual queue updated by
 ``Q_k(t+1) = max(Q_k(t) + p_k(t-D) - c_k, 0)`` with ``p_k`` taken as zero for
 negative slots.  Every slot the controller picks the strategy index
-minimizing ``V r_0 + sum_k Q_k r_k``, using exact expected penalties, a
-moving-window estimate of them, or (for separable penalties) a per-user
-argmin that needs no strategy enumeration at all.  Ties always resolve to the
-lowest index.
+minimizing ``V r_0 + sum_k Q_k r_k``, using exact expected penalties or a
+moving-window estimate of them.  Ties always resolve to the lowest index.
+When every penalty splits per user, exact mode splits the minimum too: each
+user takes its own argmin at its own event, with no strategy enumeration.
 
 The queue update and the selection rules themselves run in the simulator's
 kernel, over chunks of slots and many runs at once.  This module holds what
 the kernel needs besides: the controller parameters, the window estimator,
-the separable split, and the bound constants.
+the per-user split, and the bound constants.
 """
 
 from __future__ import annotations
@@ -22,7 +22,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .problem import (
-    CapExceeded,
     ProblemSpec,
     flat_event_probabilities,
     joint_components,
@@ -32,19 +31,16 @@ from .strategy import strategy_event_penalties
 
 SEPARABLE_TOL = 1e-9
 SEPARABLE_CAP = 10**7
-
-
-class NotSeparable(Exception):
-    """Raised when penalties do not split into per-user terms."""
+MODES = ("exact", "approx")
 
 
 @dataclass
 class DppConfig:
-    """Controller parameters: tradeoff weight V, feedback delay D, and mode."""
+    """Controller parameters: tradeoff weight V, feedback delay D, mode, approx's window."""
 
     v: float
     delay: int = 0
-    mode: str = "exact"  # "exact" | "approx" | "separable"
+    mode: str = "exact"  # one of MODES
     window: int | None = None
 
     def __post_init__(self):
@@ -52,10 +48,12 @@ class DppConfig:
             raise ValueError("V must be non-negative")
         if self.delay < 0:
             raise ValueError("delay must be non-negative")
-        if self.mode not in ("exact", "approx", "separable"):
+        if self.mode not in MODES:
             raise ValueError(f"unknown mode {self.mode!r}")
         if self.mode == "approx" and (self.window is None or self.window < 1):
             raise ValueError("approx mode needs window >= 1")
+        if self.mode != "approx" and self.window is not None:
+            raise ValueError(f"a window applies only to approx mode, not {self.mode!r}")
 
 
 class RollingEstimator:
@@ -88,22 +86,24 @@ class RollingEstimator:
 
 
 # ---------------------------------------------------------------------------
-# Separable fast path
+# Per-user split
 # ---------------------------------------------------------------------------
 
 
-def separable_components(spec: ProblemSpec) -> list[np.ndarray]:
-    """Split every penalty into per-user terms, or raise NotSeparable.
+def separable_components(spec: ProblemSpec) -> list[np.ndarray] | None:
+    """Split every penalty into per-user terms; None when they do not split.
 
     Uses the uniform-average decomposition: the candidate per-user component
     is the penalty's mean over all other coordinates, recentered so the parts
     sum back to the grand mean.  The split is accepted only if reassembling
     the parts reproduces every table entry, to within SEPARABLE_TOL times
     that table's largest magnitude, so the answer does not depend on units.
-    Returns one (K+1, |Omega_i|, |A_i|) array per user.
+    Returns one (K+1, |Omega_i|, |A_i|) array per user.  Also None, without
+    building any table, when a table would hold more than SEPARABLE_CAP
+    entries.
     """
     if spec.n_events * spec.n_actions > SEPARABLE_CAP:
-        raise CapExceeded(spec.n_events * spec.n_actions, SEPARABLE_CAP)
+        return None
     tables = penalty_tables(spec)
     n = spec.n_users
     shaped = tables.reshape((len(tables),) + spec.event_sizes + spec.action_sizes)
@@ -127,7 +127,7 @@ def separable_components(spec: ProblemSpec) -> list[np.ndarray]:
             rebuilt += comp[np.ix_(omega_comp[:, i], alpha_comp[:, i])]
         atol = SEPARABLE_TOL * float(np.max(np.abs(tables[k])))
         if not np.allclose(rebuilt, tables[k], atol=atol, rtol=0.0):
-            raise NotSeparable(f"penalty {k} does not split into per-user terms")
+            return None
     return components
 
 
@@ -170,18 +170,20 @@ def performance_bound(
     return p0_opt + b * (1 + 2 * delay) / v + l_d / (v * t)
 
 
-def slater_queue_bound(a: float, eps: float, delta_max: float, t: int) -> float:
-    """Expected queue-norm bound under a Slater slack of eps.
+def slater_queue_bound(
+    a: float, eps: float, delta_max: float, t: int | np.ndarray
+) -> float | np.ndarray:
+    """Expected queue-norm bound under a Slater slack of eps, for one t or an array of them.
 
     Grows like O(log t); valid for drift satisfying
     E[drift | Q] <= a - eps * sum_k Q_k with zero initial queues.
     """
     r = eps / (delta_max**2 + eps * delta_max / 3.0)
     head = math.log(2.0) / r
-    tail = max(2.0 * a / eps, eps / 2.0) + math.log(
-        2.0 * t * (math.exp(r * delta_max) - 1.0)
+    tail = max(2.0 * a / eps, eps / 2.0) + np.log(
+        2.0 * np.asarray(t) * (math.exp(r * delta_max) - 1.0)
     ) / r
-    return max(head, tail)
+    return np.maximum(head, tail)
 
 
 def queue_change_bound(spec: ProblemSpec) -> float:

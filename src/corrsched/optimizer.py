@@ -144,18 +144,12 @@ def sample_strategies(
 ) -> np.ndarray:
     """Draw n shared random indices at once: positions into ``policy.support``.
 
-    Uses one uniform double per draw, so n draws consume the generator
-    exactly like n calls of :func:`sample_strategy`.
+    Uses one uniform double per draw; this realizes the shared random index.
     """
     edges = np.cumsum(policy.thetas)
     edges[-1] = max(edges[-1], 1.0)
     idx = np.searchsorted(edges, rng.random(n), side="right")
     return np.minimum(idx, len(policy.support) - 1)
-
-
-def sample_strategy(policy: CorrelatedPolicy, rng: np.random.Generator) -> np.ndarray:
-    """Draw one support strategy row; this realizes the shared random index."""
-    return policy.support[int(sample_strategies(policy, rng, 1)[0])][0]
 
 
 def _best_over_subsets(r: np.ndarray, c: np.ndarray, subsets: np.ndarray) -> float:

@@ -1,10 +1,12 @@
 """Seeded multi-slot simulation of the drift-plus-penalty controller.
 
 The harness samples events, lets the controller pick a strategy from queue
-state (exact, windowed-estimate, or separable mode), computes penalties
-centrally, and reveals them to the queues only after the configured delay,
-so the information model holds by construction.  Runs are bit-reproducible
-from (config, seed); ensemble run r uses seed base_seed + r.
+state (exact or windowed-estimate mode), computes penalties centrally, and
+reveals them to the queues only after the configured delay, so the
+information model holds by construction.  In exact mode with no strategy
+set given, a spec whose penalties split per user runs the per-user rule and
+records strategy -1.  Runs are bit-reproducible from (config, seed);
+ensemble run r uses seed base_seed + r.
 
 One kernel steps R independent runs in lockstep, CHUNK_SLOTS slots at a
 time: ``run_episode`` is its R=1 call and ``run_ensemble`` one call over all
@@ -79,7 +81,7 @@ class SimConfig:
 @dataclass(eq=False)
 class Trace:
     t: np.ndarray  # recorded slots
-    strategy: np.ndarray  # chosen strategy index; -1 in separable mode
+    strategy: np.ndarray  # chosen strategy index; -1 under the per-user rule
     u: np.ndarray
     p: np.ndarray  # (n, K) instantaneous penalties
     q: np.ndarray  # (n, K) queues at selection time
@@ -157,11 +159,11 @@ def _queue_bound_residual(
 
 @dataclass(eq=False)
 class _Controller:
-    """What a selection step needs besides the queues, for every mode.
+    """What a selection step needs besides the queues, for every selection rule.
 
     ``table[w, col]`` is the penalty vector of column ``col`` at event w:
-    columns are strategies in exact and approx mode and joint actions in
-    separable mode.
+    columns are strategies in exact and approx mode and joint actions under
+    the per-user rule, whose ``mode`` is "separable".
     """
 
     mode: str
@@ -177,13 +179,19 @@ class _Controller:
 
 
 def _controller(config: SimConfig, runs: int) -> _Controller:
+    """The selection rule for config: exact mode on a split spec with no set runs per user.
+
+    The per-user argmins minimise exact mode's weighted sum over every
+    strategy, which the set the spec resolves to matches in value.
+    """
     spec, dpp = config.spec, config.dpp
     constraints = np.asarray(spec.constraints, dtype=float)
-    if dpp.mode == "separable":
+    own_set = config.strategies is None and config.event_penalties is None
+    comps = separable_components(spec) if dpp.mode == "exact" and own_set else None
+    if comps is not None:
         tables = penalty_tables(spec)
-        comps = separable_components(spec)
         return _Controller(
-            mode=dpp.mode,
+            mode="separable",
             v=dpp.v,
             delay=dpp.delay,
             constraints=constraints,
@@ -260,7 +268,8 @@ def _step_batched(ctl: _Controller, t0: int, n: int, ev, pen, qa, ms) -> None:
     Exact mode scores all runs with one stacked matrix-vector product,
     ``np.matmul(r, w[:, :, None])``: per run it is the same gemv as
     ``r.dot(w_run)``, so selections match single runs bit for bit (a 2-D
-    ``w @ r.T`` gemm does not).  Approx and separable mode select run by run.
+    ``w @ r.T`` gemm does not).  Approx mode and the per-user rule select run
+    by run.
     Queues and penalties are (K, runs) blocks, so the queue update runs on
     contiguous rows; the weights are copied out per slot for scoring.
     """

@@ -277,14 +277,14 @@ def test_criterion_9_queue_bound_every_trace(two_sensor, rng):
     sep = random_separable_spec(rng)
     cfg = cs.SimConfig(
         spec=sep,
-        dpp=cs.DppConfig(v=4.0, delay=3, mode="separable"),
+        dpp=cs.DppConfig(v=4.0, delay=3, mode="exact"),
         horizon=20000,
         seed=78,
         strategies=None,
         stride=1,
     )
     metrics, trace = cs.run_episode(cfg)
-    _track("dedicated separable D=3", metrics)
+    _track("dedicated per-user D=3", metrics)
 
     # ... plus everything the heavier criteria simulated above
     worst_label, worst = max(_TRACKED_RESIDUALS, key=lambda kv: kv[1])

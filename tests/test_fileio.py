@@ -185,18 +185,21 @@ def test_cli_simulate_and_analyze(tmp_path, capsys):
     parsed = vars(build_parser().parse_args(argv))
     assert echo == {k: v for k, v in parsed.items() if k not in ("command", "func", "out")}
 
-    rc = main(
-        [
-            "analyze",
-            "--trace", str(tmp_path / "run.trace.csv"),
-            "--spec", str(FIXDIR / "two_sensor.json"),
-            "--config", str(tmp_path / "run.metrics"),
-        ]
-    )
+    analyze = [
+        "analyze",
+        "--trace", str(tmp_path / "run.trace.csv"),
+        "--spec", str(FIXDIR / "two_sensor.json"),
+        "--config", str(tmp_path / "run.metrics"),
+    ]
+    rc = main(analyze)
     text = capsys.readouterr().out
     assert rc == 0
     assert "performance bound: ok" in text
     assert "queue bound residual" in text
+    # earlier versions echoed a --window that the exact run ignored; it audits the same
+    fileio.save_json({"config": {**echo, "window": 40}}, tmp_path / "run.metrics")
+    assert main(analyze) == 0
+    assert capsys.readouterr().out == text
 
 
 def test_cli_solve_prune_modes(tmp_path, capsys):
@@ -222,10 +225,11 @@ def test_cli_solve_prune_modes(tmp_path, capsys):
 def test_cli_simulate_ensemble_with_phases(tmp_path, capsys):
     from corrsched.cli import main
 
-    spec = fixtures.two_sensor_spec()
-    flipped = cs.ProductDistribution((np.array([0.75, 0.25]), np.array([0.5, 0.5])))
-    phases = [cs.Phase(0, 300, spec.distribution), cs.Phase(300, 600, flipped)]
-    fileio.save_phases(phases, tmp_path / "phases.json")
+    phases = [
+        {"start": 0, "end": 300, "distribution": {"product": [[0.25, 0.75], [0.5, 0.5]]}},
+        {"start": 300, "end": 600, "distribution": {"product": [[0.75, 0.25], [0.5, 0.5]]}},
+    ]
+    fileio.save_json({"phases": phases}, tmp_path / "phases.json")
     prefix = tmp_path / "ens"
     rc = main(
         [
@@ -253,6 +257,7 @@ def test_cli_simulate_ensemble_with_phases(tmp_path, capsys):
 
 
 def test_cli_simulate_separable_mode(tmp_path, capsys, rng):
+    # a spec whose penalties split runs the per-user rule without asking for it
     from corrsched.cli import main
     from specgen import random_separable_spec
 
@@ -265,7 +270,6 @@ def test_cli_simulate_separable_mode(tmp_path, capsys, rng):
             "--v", "3",
             "--slots", "500",
             "--seed", "9",
-            "--mode", "separable",
             "--out", str(tmp_path / "sep"),
         ]
     )
@@ -273,22 +277,14 @@ def test_cli_simulate_separable_mode(tmp_path, capsys, rng):
     assert rc == 0
     back = cs.read_trace(tmp_path / "sep.trace.csv")
     assert np.all(back.strategy == -1)
+    # SHA-256 of the trace that `--mode separable` wrote when it was a mode
+    digest = hashlib.sha256((tmp_path / "sep.trace.csv").read_bytes()).hexdigest()
+    assert digest == "4e30c8f975676ad2c7e5109afecdfc023c5c79289a0a10b36f204f68aff5c608"
 
 
 def test_read_trace_missing_file(tmp_path):
     with pytest.raises(OSError, match="nothere"):
         cs.read_trace(tmp_path / "nothere.csv")
-
-
-def test_cli_invalid_spec(tmp_path):
-    from corrsched.cli import main
-
-    obj = fileio.spec_to_dict(fixtures.two_sensor_spec())
-    obj["distribution"] = {"product": [[0.0, 1.0], [0.5, 0.5]]}
-    bad = tmp_path / "bad.json"
-    bad.write_text(json.dumps(obj))
-    with pytest.raises(SystemExit):
-        main(["solve", "--spec", str(bad), "--out", str(tmp_path / "x.json")])
 
 
 def _cli_error(capsys, argv) -> str:
@@ -331,11 +327,10 @@ def test_cli_missing_key_is_one_line(tmp_path, capsys):
     ids=["no-kind", "no-params", "unknown-param", "no-start", "no-end", "no-distribution"],
 )
 def test_cli_malformed_nested_entry_is_one_line(tmp_path, capsys, field, damage):
-    spec = fixtures.two_sensor_spec()
-    fileio.save_phases([cs.Phase(0, 3, spec.distribution), cs.Phase(3, 5, spec.distribution)],
-                       tmp_path / "phases.json")
-    spec_obj = fileio.spec_to_dict(spec)
-    phases_obj = json.loads((tmp_path / "phases.json").read_text())
+    spec_obj = fileio.spec_to_dict(fixtures.two_sensor_spec())
+    dist = spec_obj["distribution"]
+    phases_obj = {"phases": [{"start": 0, "end": 3, "distribution": dist},
+                             {"start": 3, "end": 5, "distribution": dist}]}
     damage(spec_obj, phases_obj)
     paths = {"penalties": _spec_file(tmp_path, spec_obj),
              "phases": _spec_file(tmp_path, phases_obj, name="phases.json")}
@@ -367,10 +362,24 @@ def test_cli_cap_exceeded_is_one_line(tmp_path, capsys):
     assert "CapExceeded" in _cli_error(capsys, argv)
 
 
-def test_cli_not_separable_is_one_line(tmp_path, capsys):
+def test_cli_separable_mode_is_a_usage_error(tmp_path, capsys):
+    from corrsched.cli import main
+
     argv = ["simulate", "--spec", str(FIXDIR / "two_sensor.json"), "--v", "1", "--slots", "5",
             "--seed", "1", "--mode", "separable", "--out", str(tmp_path / "run")]
-    assert "NotSeparable" in _cli_error(capsys, argv)
+    with pytest.raises(SystemExit) as info:
+        main(argv)
+    assert info.value.code == 2
+    assert "argument --mode: invalid choice: 'separable'" in capsys.readouterr().err
+
+
+def test_cli_window_without_approx_mode_is_one_line(tmp_path, capsys):
+    # the window used to be dropped, yet echoed into .metrics as if it had been used
+    argv = ["simulate", "--spec", str(FIXDIR / "two_sensor.json"), "--v", "1", "--slots", "5",
+            "--seed", "1", "--window", "40", "--out", str(tmp_path / "run")]
+    err = _cli_error(capsys, argv)
+    assert "ValueError: a window applies only to approx mode, not 'exact'" in err
+    assert not (tmp_path / "run.metrics").exists()
 
 
 def test_cli_bad_files_are_one_line(tmp_path, capsys):
@@ -473,6 +482,15 @@ def test_cli_run_config_field_of_wrong_type_is_one_line(tmp_path, capsys, config
             "--spec", str(FIXDIR / "two_sensor.json"), "--config", path]
     err = _cli_error(capsys, argv)
     assert f"ValueError: {path}: field {field!r}: " in err
+
+
+def test_cli_run_config_separable_mode_is_one_line(tmp_path, capsys):
+    path = _spec_file(tmp_path, {"v": 1.0, "delay": 0, "mode": "separable"}, name="run.metrics")
+    argv = ["analyze", "--trace", str(tmp_path / "run.trace.csv"),
+            "--spec", str(FIXDIR / "two_sensor.json"), "--config", path]
+    err = _cli_error(capsys, argv)
+    message = "field 'mode': unknown mode 'separable', not one of exact, approx"
+    assert f"ValueError: {path}: {message}" in err
 
 
 @pytest.mark.parametrize("prune", ["off", "force"])

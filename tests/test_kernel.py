@@ -50,8 +50,8 @@ CASES = {
     "exact-d7": (TWO, TWO_S, "exact", 7, None, 10_007, 3, None),
     "approx-d0": (TWO, TWO_S, "approx", 0, 13, 10_007, 1, None),
     "approx-d7": (TWO, TWO_S, "approx", 7, 13, 10_007, 7, None),
-    "separable-d0": (SEP, None, "separable", 0, None, 9_001, 1, None),
-    "separable-d7": (SEP, None, "separable", 7, None, 9_001, 5, None),
+    "separable-d0": (SEP, None, "exact", 0, None, 9_001, 1, None),
+    "separable-d7": (SEP, None, "exact", 7, None, 9_001, 5, None),
     "exact-phased-d7": (TWO, TWO_S, "exact", 7, None, 9_000, 1,
                         [(0, 2500, None), (2500, 6100, SKEWED), (6100, 9000, None)]),
     "approx-3sensor-phased": (THREE, THREE_S, "approx", 10, 40, 6_000, 1, "adaptation"),
@@ -63,7 +63,7 @@ CASES = {
     "exact-d50-h20": (TWO, TWO_S, "exact", 50, None, 20, 1, None),
     "exact-h1": (TWO, TWO_S, "exact", 3, None, 1, 1, None),
     "approx-h1": (TWO, TWO_S, "approx", 0, 4, 1, 1, None),
-    "separable-h17": (SEP, None, "separable", 2, None, 17, 1, None),
+    "separable-h17": (SEP, None, "exact", 2, None, 17, 1, None),
 }
 
 # name: (utility, pbar, final_queues, queue_bound_max_residual, trace digest)
@@ -193,7 +193,7 @@ ENSEMBLES = {
     "exact-d0": (TWO, TWO_S, "exact", 0, None, 5_003),
     "exact-d7": (TWO, TWO_S, "exact", 7, None, 5_003),
     "approx-d7": (TWO, TWO_S, "approx", 7, 13, 5_003),
-    "separable-d3": (SEP, None, "separable", 3, None, 5_003),
+    "separable-d3": (SEP, None, "exact", 3, None, 5_003),
     "exact-3sensor-d0": (THREE, THREE_S, "exact", 0, None, 4_500),
 }
 

@@ -130,8 +130,9 @@ def test_sample_strategy_single_support(two_sensor):
         achieved_constraints=np.zeros(2),
         support_indices=[0],
     )
-    gen = np.random.default_rng(1)
-    assert all(cs.sample_strategy(policy, gen) is row for _ in range(25))
+    draws = cs.sample_strategies(policy, np.random.default_rng(1), 25)
+    assert draws.tolist() == [0] * 25
+    assert policy.support[draws[0]][0] is row
 
 
 def test_sample_strategy_frequencies(two_sensor):
@@ -157,22 +158,13 @@ def test_sample_strategy_frequencies(two_sensor):
         assert abs(count / n - theta) < 4 * sigma
 
 
-def test_sample_strategy_is_one_draw_of_sample_strategies(two_sensor):
-    spec, strategies = two_sensor
-    policy = cs.solve_distributed_lp(spec, strategies)
-    gen = np.random.default_rng(11)
-    one_by_one = np.array([cs.sample_strategy(policy, gen) for _ in range(200)])
-    batch = cs.sample_strategies(policy, np.random.default_rng(11), 200)
-    assert np.array_equal(one_by_one, np.array([policy.support[i][0] for i in batch]))
-    assert len(set(batch.tolist())) == len(policy.support)
-
-
 def test_sample_strategy_deterministic(two_sensor):
     spec, strategies = two_sensor
     policy = cs.solve_distributed_lp(spec, strategies)
-    a = [cs.sample_strategy(policy, np.random.default_rng(3)).tolist() for _ in range(30)]
-    b = [cs.sample_strategy(policy, np.random.default_rng(3)).tolist() for _ in range(30)]
-    assert a == b
+    a = cs.sample_strategies(policy, np.random.default_rng(3), 200)
+    b = cs.sample_strategies(policy, np.random.default_rng(3), 200)
+    assert np.array_equal(a, b)
+    assert len(set(a.tolist())) == len(policy.support)
 
 
 def test_oracle_two_sensor(two_sensor):

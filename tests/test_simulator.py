@@ -2,12 +2,15 @@ import hashlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import corrsched as cs
+from corrsched.simulator import resolve_strategies
 from corrsched.strategy import strategy_event_penalties
 
 import oracles
-from specgen import random_separable_spec
+from specgen import random_separable_spec, random_spec
 
 
 def _cfg(spec, strategies, mode="exact", v=10.0, delay=0, window=None, horizon=2000,
@@ -73,7 +76,7 @@ def test_queue_bound_residual_all_modes(two_sensor, rng):
         )
         assert metrics.queue_bound_max_residual <= 1e-9
     sep_spec = random_separable_spec(rng)
-    metrics, _ = cs.run_episode(_cfg(sep_spec, None, mode="separable", delay=3, horizon=3000))
+    metrics, _ = cs.run_episode(_cfg(sep_spec, None, delay=3, horizon=3000))
     assert metrics.queue_bound_max_residual <= 1e-9
 
 
@@ -115,18 +118,45 @@ def test_approx_mode_selection_replays_with_estimator(two_sensor):
 
 def test_separable_run_matches_exact_run(rng):
     spec = random_separable_spec(rng)
-    exact_m, exact_tr = cs.run_episode(_cfg(spec, cs.enumerate_all(spec), mode="exact", horizon=1500, v=3.0))
-    sep_m, sep_tr = cs.run_episode(_cfg(spec, None, mode="separable", horizon=1500, v=3.0))
+    exact_m, exact_tr = cs.run_episode(_cfg(spec, cs.enumerate_all(spec), horizon=1500, v=3.0))
+    sep_m, sep_tr = cs.run_episode(_cfg(spec, None, horizon=1500, v=3.0))
     # same seed, same event stream; per-user argmin equals the joint argmin
     assert np.array_equal(exact_tr.u, sep_tr.u)
     assert np.array_equal(exact_tr.p, sep_tr.p)
     assert np.all(sep_tr.strategy == -1)
 
 
-def test_separable_mode_requires_separable_penalties(two_sensor):
-    spec, _ = two_sensor
-    with pytest.raises(cs.NotSeparable):
-        cs.run_episode(_cfg(spec, None, mode="separable", horizon=10))
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 10**6), delay=st.integers(0, 5), v=st.floats(0.5, 50.0))
+def test_exact_mode_picks_the_per_user_rule_from_the_spec(seed, delay, v):
+    # a split spec with no set runs per user: the joint argmin's u, p and q, strategy -1
+    spec = random_separable_spec(np.random.default_rng(seed))
+    every = cs.enumerate_all(spec)
+    _, joint = cs.run_episode(_cfg(spec, every, v=v, delay=delay, horizon=400))
+    _, split = cs.run_episode(_cfg(spec, None, v=v, delay=delay, horizon=400))
+    for field in ("u", "p", "q"):
+        assert getattr(split, field).tobytes() == getattr(joint, field).tobytes()
+    assert np.all(split.strategy == -1) and np.all(joint.strategy >= 0)
+    # an event tensor alone, or approx mode, keeps the strategy columns
+    tensor = _cfg(spec, None, v=v, delay=delay, horizon=400)
+    tensor.event_penalties = strategy_event_penalties(spec, every)
+    assert _traces_equal(cs.run_episode(tensor)[1], joint)
+    _, approx = cs.run_episode(_cfg(spec, None, "approx", v, delay, window=5, horizon=400))
+    assert np.all(approx.strategy >= 0)
+    # a spec that does not split runs over the set it resolves to, as if it were given
+    spec = random_spec(np.random.default_rng(seed))
+    if cs.separable_components(spec) is None:
+        resolved = resolve_strategies(spec)
+        _, given_set = cs.run_episode(_cfg(spec, resolved, v=v, delay=delay, horizon=400))
+        _, no_set = cs.run_episode(_cfg(spec, None, v=v, delay=delay, horizon=400))
+        assert _traces_equal(no_set, given_set)
+        assert np.all(no_set.strategy >= 0)
+
+
+@pytest.mark.parametrize("config", [dict(mode="separable"), dict(mode="exact", window=5)])
+def test_dpp_config_rejects_a_separable_mode_and_a_stray_window(config):
+    with pytest.raises(ValueError):
+        cs.DppConfig(v=1.0, **config)
 
 
 def test_phase_validation(two_sensor):
@@ -231,7 +261,7 @@ def test_write_trace_bytes_pinned(tmp_path, two_sensor, case):
     sep = random_separable_spec(np.random.default_rng(4))  # K = 2, strategy column -1
     spec, strategies, mode, delay, stride = {
         "exact-d3": (spec, strategies, "exact", 3, 1),
-        "separable-d2": (sep, None, "separable", 2, 1),
+        "separable-d2": (sep, None, "exact", 2, 1),
         "k0-stride7": (k0, strategies, "exact", 0, 7),
     }[case]
     _, trace = cs.run_episode(
