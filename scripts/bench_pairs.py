@@ -7,9 +7,15 @@ The change is this checkout's working tree; the parent is commit REV, written
 with ``git archive`` into a temporary directory that is removed afterwards.
 Pair j runs ``perfbench/run.py --trace 0`` once on each side with seed + j,
 the parent first when j is even and the change first when j is odd.  Every
-run's metrics are printed as it ends; then, for each end-to-end metric, the
-median [quartiles] of both sides and the number of pairs in which the change
-read lower.  The exit code is 1 when any run failed a check.
+run's iteration count and metrics are printed as it ends; then the median
+[quartiles] of both sides' iteration counts and, for each end-to-end metric,
+of its values, the number of pairs in which the change read lower, and
+whether a gain in it may be claimed.  The claim rule: at least MIN_PAIRS
+pairs, the change lower in at least nine tenths of them (ties count for
+neither side), and the parent's median above the change's by more than the
+parent's interquartile range.  Printing the iteration counts shows when a
+metric such as ``setup_s`` moved with the number of iterations that fit into
+a run.  The exit code is 1 when any run failed a check.
 
 Only one copy runs at a time on a host: the script holds an exclusive
 ``fcntl`` lock on a file in the temporary directory, because two copies
@@ -21,6 +27,7 @@ from __future__ import annotations
 import argparse
 import fcntl
 import json
+import re
 import subprocess
 import sys
 import tempfile
@@ -30,6 +37,8 @@ import numpy as np
 
 ROOT = Path(__file__).resolve().parent.parent
 LOCK = Path(tempfile.gettempdir()) / "corrsched-bench-pairs.lock"
+ITERATIONS = re.compile(r"^untraced: iterations=(\d+)", re.MULTILINE)
+MIN_PAIRS = 10
 
 
 def export(rev: str, dest: Path) -> None:
@@ -42,20 +51,24 @@ def export(rev: str, dest: Path) -> None:
     subprocess.run(["tar", "-x", "-C", str(dest)], input=archive, check=True)
 
 
-def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> tuple[bool, dict]:
-    """One untraced benchmark run: (every check passed, {metric: value})."""
+def run_once(
+    checkout: Path, workload: str, seed: int, seconds: float
+) -> tuple[bool, dict, int | None]:
+    """One untraced benchmark run: (every check passed, {metric: value}, iterations run)."""
     cmd = [
         sys.executable, "perfbench/run.py",
         "--workload", workload, "--seed", str(seed), "--seconds", repr(seconds), "--trace", "0",
     ]
     proc = subprocess.run(cmd, cwd=checkout, stdout=subprocess.PIPE, text=True)
+    found = ITERATIONS.search(proc.stdout)
+    iterations = int(found.group(1)) if found else None
     lines = proc.stdout.strip().splitlines()
     try:
         result = json.loads(lines[-1])
     except (IndexError, json.JSONDecodeError):
-        return False, {}
+        return False, {}, iterations
     metrics = {name: m["value"] for name, m in result.get("metrics", {}).items()}
-    return proc.returncode == 0 and bool(result.get("correct")), metrics
+    return proc.returncode == 0 and bool(result.get("correct")), metrics, iterations
 
 
 def summarize(parent: list[dict], change: list[dict]) -> list[tuple]:
@@ -75,6 +88,17 @@ def summarize(parent: list[dict], change: list[dict]) -> list[tuple]:
     return rows
 
 
+def claim_rule_met(parent_q, change_q, wins: int, pairs: int) -> bool:
+    """Whether the change may claim a lower metric, from quartiles (25, 50, 75) of both sides."""
+    spread = parent_q[2] - parent_q[0]
+    return bool(pairs >= MIN_PAIRS and 10 * wins >= 9 * pairs and parent_q[1] - change_q[1] > spread)
+
+
+def median_quartiles(q) -> str:
+    """Quartiles (25, 50, 75) as 'median [lower, upper]'."""
+    return f"{q[1]:.6g} [{q[0]:.6g}, {q[2]:.6g}]"
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--base", required=True, help="parent commit")
@@ -91,6 +115,7 @@ def main(argv=None) -> int:
             print(f"error: another bench_pairs run holds {LOCK}", file=sys.stderr)
             return 2
         runs: dict[str, list[dict]] = {"parent": [], "change": []}
+        iterations: dict[str, list[int]] = {"parent": [], "change": []}
         failed = 0
         with tempfile.TemporaryDirectory(prefix="bench-parent-") as parent_dir:
             export(args.base, Path(parent_dir))
@@ -98,17 +123,26 @@ def main(argv=None) -> int:
             for j in range(args.pairs):
                 seed = args.seed + j
                 for side in ("parent", "change") if j % 2 == 0 else ("change", "parent"):
-                    ok, metrics = run_once(checkouts[side], args.workload, seed, args.seconds)
+                    ok, metrics, count = run_once(checkouts[side], args.workload, seed, args.seconds)
                     failed += not ok
                     runs[side].append(metrics)
+                    if count is not None:
+                        iterations[side].append(count)
                     values = " ".join(f"{k}={v:.6g}" for k, v in metrics.items())
-                    print(f"pair {j} seed {seed} {side}: {'ok' if ok else 'FAILED'} {values}",
-                          flush=True)
+                    print(f"pair {j} seed {seed} {side}: {'ok' if ok else 'FAILED'} "
+                          f"iterations={count} {values}", flush=True)
 
     print(f"{args.workload}: parent {args.base} -> working tree, median [quartiles]")
+    counts = [
+        median_quartiles(np.percentile(iterations[side], [25, 50, 75])) if iterations[side] else "none"
+        for side in ("parent", "change")
+    ]
+    print(f"  iterations: {counts[0]} -> {counts[1]}")
     for name, a, b, wins, n in summarize(runs["parent"], runs["change"]):
-        print(f"  {name}: {a[1]:.6g} [{a[0]:.6g}, {a[2]:.6g}] -> "
-              f"{b[1]:.6g} [{b[0]:.6g}, {b[2]:.6g}]; change lower in {wins}/{n} pairs")
+        verdict = "met" if claim_rule_met(a, b, wins, n) else "not met"
+        print(f"  {name}: {median_quartiles(a)} -> {median_quartiles(b)}; "
+              f"change lower in {wins}/{n} pairs; "
+              f"median gap {a[1] - b[1]:.6g} vs parent IQR {a[2] - a[0]:.6g}; claim rule {verdict}")
     if failed:
         print(f"{failed} run(s) failed a check", file=sys.stderr)
     return 1 if failed else 0

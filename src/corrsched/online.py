@@ -90,7 +90,7 @@ class RollingEstimator:
 # ---------------------------------------------------------------------------
 
 
-def separable_components(spec: ProblemSpec) -> list[np.ndarray] | None:
+def separable_components(spec: ProblemSpec) -> tuple[list[np.ndarray], np.ndarray] | None:
     """Split every penalty into per-user terms; None when they do not split.
 
     Uses the uniform-average decomposition: the candidate per-user component
@@ -98,7 +98,9 @@ def separable_components(spec: ProblemSpec) -> list[np.ndarray] | None:
     sum back to the grand mean.  The split is accepted only if reassembling
     the parts reproduces every table entry, to within SEPARABLE_TOL times
     that table's largest magnitude, so the answer does not depend on units.
-    Returns one (K+1, |Omega_i|, |A_i|) array per user.  Also None, without
+    Returns one (K+1, |Omega_i|, |A_i|) array per user, together with the
+    ``penalty_tables(spec)`` they were split from, so a caller running the
+    per-user rule expands the penalties only once.  Also None, without
     building any table, when a table would hold more than SEPARABLE_CAP
     entries.
     """
@@ -128,7 +130,7 @@ def separable_components(spec: ProblemSpec) -> list[np.ndarray] | None:
         atol = SEPARABLE_TOL * float(np.max(np.abs(tables[k])))
         if not np.allclose(rebuilt, tables[k], atol=atol, rtol=0.0):
             return None
-    return components
+    return components, tables
 
 
 # ---------------------------------------------------------------------------

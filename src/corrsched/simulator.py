@@ -38,7 +38,7 @@ from .problem import (
     flat_event_probabilities,
     joint_components,
     joint_strides,
-    penalty_tables,
+    penalty_tables,  # noqa: F401  (unused here; perfbench's span wrappers look it up)
     sample_event_indices,
     skip_event_draws,
 )
@@ -76,6 +76,12 @@ class SimConfig:
     # optional cache of strategy_event_penalties(spec, strategies); callers
     # running many configs on one strategy set pass it to skip the rebuild
     event_penalties: np.ndarray | None = None
+
+    def __post_init__(self):
+        if self.runs < 1:
+            raise ValueError(f"runs must be >= 1, got {self.runs}")
+        if self.stride < 1:
+            raise ValueError(f"stride must be >= 1, got {self.stride}")
 
 
 @dataclass(eq=False)
@@ -187,9 +193,9 @@ def _controller(config: SimConfig, runs: int) -> _Controller:
     spec, dpp = config.spec, config.dpp
     constraints = np.asarray(spec.constraints, dtype=float)
     own_set = config.strategies is None and config.event_penalties is None
-    comps = separable_components(spec) if dpp.mode == "exact" and own_set else None
-    if comps is not None:
-        tables = penalty_tables(spec)
+    split = separable_components(spec) if dpp.mode == "exact" and own_set else None
+    if split is not None:
+        comps, tables = split
         return _Controller(
             mode="separable",
             v=dpp.v,
@@ -456,8 +462,7 @@ def run_episode(config: SimConfig) -> tuple[Metrics, Trace]:
     all slots.  Memory is O(chunk + delay + horizon / stride), whatever the
     horizon.
     """
-    stride = max(int(config.stride), 1)
-    metrics, traces, _ = _simulate(config, [config.seed], stride, accumulate=False)
+    metrics, traces, _ = _simulate(config, [config.seed], int(config.stride), accumulate=False)
     return metrics[0], traces[0]
 
 

@@ -156,15 +156,19 @@ def strategy_event_penalties(spec: ProblemSpec, strategies: np.ndarray) -> np.nd
     """Penalties of every strategy at every event, shape (n_events, M, K+1).
 
     Event-major layout so a single event row (used by windowed estimators and
-    per-slot bookkeeping) is contiguous.
+    per-slot bookkeeping) is contiguous.  Built by one row gather: the
+    penalties are expanded once into a (n_events * n_actions, K+1) table
+    whose row w * n_actions + a holds every penalty at event w and joint
+    action a, and each strategy's row index at each event is taken from it.
+    The tensor takes 8 * n_events * M * (K+1) bytes; the int64 index adds
+    8 * n_events * M while it is built.
     """
     tables = penalty_tables(spec)
-    cols = strategy_action_table(spec, strategies).T  # (n_events, M)
-    rows = np.arange(spec.n_events)[:, None]
-    out = np.empty(cols.shape + (len(tables),))
-    for k, table in enumerate(tables):
-        out[:, :, k] = table[rows, cols]
-    return out
+    flat = np.ascontiguousarray(tables.transpose(1, 2, 0), dtype=float).reshape(-1, len(tables))
+    offsets = np.arange(spec.n_events, dtype=np.int64) * spec.n_actions
+    # a C-ordered index: given a transposed one, take copies it first
+    rows = np.add(strategy_action_table(spec, strategies).T, offsets[:, None], order="C")
+    return flat.take(rows, axis=0)
 
 
 def r_matrix(

@@ -92,6 +92,24 @@ def sample_event(spec, rng) -> tuple[int, ...]:
 # ---------------------------------------------------------------------------
 
 
+def strategy_event_penalties(spec, strategies) -> np.ndarray:
+    """Every penalty of every strategy row at every event, (n_events, M, K+1), one entry at a time.
+
+    Cuts each row into per-user maps by hand, reads each user's action at
+    its own event, ravels the joint action and looks it up in the tables.
+    """
+    tables = penalty_tables(spec)
+    starts = np.cumsum((0,) + spec.event_sizes[:-1])
+    out = np.empty((spec.n_events, len(strategies), len(tables)))
+    for m, row in enumerate(strategies):
+        maps = [row[a : a + w] for a, w in zip(starts, spec.event_sizes)]
+        for wf in range(spec.n_events):
+            omega = np.unravel_index(wf, spec.event_sizes)
+            alpha = np.ravel_multi_index(tuple(g[w] for g, w in zip(maps, omega)), spec.action_sizes)
+            out[wf, m] = tables[:, wf, alpha]
+    return out
+
+
 def compute_r_vector(spec, strategy) -> np.ndarray:
     """Expected penalties of one strategy row, shape (K+1,)."""
     return r_matrix(spec, np.asarray(strategy)[None, :])[0]

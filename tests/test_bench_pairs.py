@@ -1,5 +1,6 @@
 import fcntl
 import importlib.util
+import subprocess
 from pathlib import Path
 
 import numpy as np
@@ -41,14 +42,70 @@ def test_pairs_alternate_and_a_failed_check_exits_1(bench_pairs, monkeypatch, ca
     def fake_run(checkout, workload, seed, seconds):
         side = "change" if checkout == bench_pairs.ROOT else "parent"
         calls.append((side, seed))
-        return (seed, side) != (12, "change"), {"wall_s": 1.0 if side == "parent" else 0.5}
+        ok = (seed, side) != (12, "change")
+        return ok, {"wall_s": 1.0 if side == "parent" else 0.5}, 7 if side == "parent" else 11
 
     monkeypatch.setattr(bench_pairs, "run_once", fake_run)
     code = bench_pairs.main(["--base", "HEAD", "--workload", "w", "--pairs", "3", "--seed", "10"])
     assert code == 1
     assert calls == [("parent", 10), ("change", 10), ("change", 11), ("parent", 11),
                      ("parent", 12), ("change", 12)]
-    assert "change lower in 3/3 pairs" in capsys.readouterr().out
+    out = capsys.readouterr().out
+    assert "pair 0 seed 10 parent: ok iterations=7 wall_s=1" in out
+    assert "pair 2 seed 12 change: FAILED iterations=11 wall_s=0.5" in out
+    assert "  iterations: 7 [7, 7] -> 11 [11, 11]" in out
+    # three pairs are too few to claim a gain, however clear
+    assert "change lower in 3/3 pairs; median gap 0.5 vs parent IQR 0; claim rule not met" in out
+
+
+def test_ten_pairs_report_the_claim_rule(bench_pairs, monkeypatch, capsys):
+    parent = iter(np.linspace(1.0, 1.9, 10))
+
+    def fake_run(checkout, workload, seed, seconds):
+        if checkout == bench_pairs.ROOT:
+            return True, {"setup_s": 0.5, "wall_s": 2.0}, 20
+        return True, {"setup_s": next(parent), "wall_s": 1.0}, 10
+
+    monkeypatch.setattr(bench_pairs, "run_once", fake_run)
+    assert bench_pairs.main(["--base", "HEAD", "--workload", "w", "--seed", "1"]) == 0
+    out = capsys.readouterr().out
+    assert "  iterations: 10 [10, 10] -> 20 [20, 20]" in out
+    assert "change lower in 10/10 pairs; median gap 0.95 vs parent IQR 0.45; claim rule met" in out
+    assert "change lower in 0/10 pairs; median gap -1 vs parent IQR 0; claim rule not met" in out
+
+
+@pytest.mark.parametrize(
+    "wins,pairs,change_median,met",
+    [
+        (9, 10, 0.25, True),
+        (10, 10, 0.25, True),
+        (8, 10, 0.25, False),  # fewer than nine tenths
+        (18, 20, 0.25, True),
+        (17, 20, 0.25, False),
+        (3, 3, 0.25, False),  # fewer than ten pairs
+        (10, 10, 0.5, False),  # the gap equals the parent's IQR
+        (10, 10, 1.5, False),  # the change reads higher
+    ],
+)
+def test_claim_rule(bench_pairs, wins, pairs, change_median, met):
+    parent = np.array([0.75, 1.0, 1.25])  # IQR 0.5
+    change = np.array([change_median - 0.125, change_median, change_median + 0.125])
+    assert bench_pairs.claim_rule_met(parent, change, wins, pairs) is met
+
+
+def test_run_once_reads_the_iteration_count(bench_pairs, monkeypatch):
+    stdout = (
+        "workload=w seed=1 seconds=1 trace=0 blas_threads=2\n"
+        "untraced: iterations=13 operations=13 failed=0 units/iteration=1 (x) instances=1\n"
+        "  wall_s = 0.1 s\n"
+        '{"correct": true, "attempted": 13, "failed": 0, "metrics": {"wall_s": {"value": 0.1}}}\n'
+    )
+    done = subprocess.CompletedProcess([], 0, stdout=stdout)
+    monkeypatch.setattr(bench_pairs.subprocess, "run", lambda *a, **k: done)
+    assert bench_pairs.run_once(Path("."), "w", 1, 1.0) == (True, {"wall_s": 0.1}, 13)
+    crashed = subprocess.CompletedProcess([], 1, stdout="")
+    monkeypatch.setattr(bench_pairs.subprocess, "run", lambda *a, **k: crashed)
+    assert bench_pairs.run_once(Path("."), "w", 1, 1.0) == (False, {}, None)
 
 
 def test_second_copy_is_refused(bench_pairs, monkeypatch, capsys):

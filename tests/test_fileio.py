@@ -382,6 +382,17 @@ def test_cli_window_without_approx_mode_is_one_line(tmp_path, capsys):
     assert not (tmp_path / "run.metrics").exists()
 
 
+@pytest.mark.parametrize("flag,value", [("--runs", "0"), ("--runs", "-2"), ("--stride", "0")])
+def test_cli_runs_and_stride_below_one_are_one_line(tmp_path, capsys, flag, value):
+    # --runs 0 used to run one episode and echo "runs": 0; --stride 0 recorded every slot
+    name = flag.lstrip("-")
+    argv = ["simulate", "--spec", str(FIXDIR / "two_sensor.json"), "--v", "1", "--slots", "5",
+            "--seed", "1", flag, value, "--out", str(tmp_path / "run")]
+    err = _cli_error(capsys, argv)
+    assert f"ValueError: {name} must be >= 1, got {value}" in err
+    assert not list(tmp_path.iterdir())
+
+
 def test_cli_bad_files_are_one_line(tmp_path, capsys):
     out = str(tmp_path / "x.json")
     assert "FileNotFoundError" in _cli_error(

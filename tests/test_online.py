@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 import corrsched as cs
 from corrsched import fixtures
+from corrsched.problem import penalty_tables
 from corrsched.strategy import strategy_event_penalties
 
 import oracles
@@ -89,7 +90,7 @@ def test_separable_components_power_only():
         penalties=(cs.PowerPerUser(0), cs.PowerPerUser(1)),
         constraints=(0.5,),
     )
-    comps = cs.separable_components(spec)
+    comps, _ = cs.separable_components(spec)
     # large queue pressure makes idling optimal for every user
     actions = oracles.separable_select(spec, comps, np.array([100.0]), 1.0, (1, 1))
     assert actions == (0, 0)
@@ -112,7 +113,8 @@ def test_separable_check_does_not_depend_on_units(two_sensor, lam):
 def test_separable_matches_exhaustive_on_random_specs(rng):
     for _ in range(15):
         spec = random_separable_spec(rng)
-        comps = cs.separable_components(spec)
+        comps, tables = cs.separable_components(spec)
+        assert np.array_equal(tables, penalty_tables(spec))
         strategies = cs.enumerate_all(spec)
         r = cs.r_matrix(spec, strategies)
         q = rng.uniform(0, 5, spec.n_constraints)

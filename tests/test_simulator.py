@@ -1,4 +1,5 @@
 import hashlib
+import sys
 
 import numpy as np
 import pytest
@@ -157,6 +158,24 @@ def test_exact_mode_picks_the_per_user_rule_from_the_spec(seed, delay, v):
 def test_dpp_config_rejects_a_separable_mode_and_a_stray_window(config):
     with pytest.raises(ValueError):
         cs.DppConfig(v=1.0, **config)
+
+
+def test_per_user_run_expands_the_penalties_once(monkeypatch):
+    # the split test's tables serve the per-user rule too, instead of a second expansion
+    spec = random_separable_spec(np.random.default_rng(5))
+    calls = []
+    for name, module in list(sys.modules.items()):
+        if name.startswith("corrsched") and hasattr(module, "penalty_tables"):
+            original = module.penalty_tables
+
+            def counted(spec, original=original):
+                calls.append(spec)
+                return original(spec)
+
+            monkeypatch.setattr(module, "penalty_tables", counted)
+    _, trace = cs.run_episode(_cfg(spec, None, horizon=10))
+    assert np.all(trace.strategy == -1)  # the per-user rule ran
+    assert len(calls) == 1
 
 
 def test_phase_validation(two_sensor):

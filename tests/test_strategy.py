@@ -280,6 +280,43 @@ def test_r_vector_bounded_by_penalty_range(rng):
             assert np.all(np.abs(oracles.compute_r_vector(spec, s)) <= bound + 1e-12)
 
 
+def _assert_tensor_matches_oracle(spec, strategies):
+    got = strategy_event_penalties(spec, strategies)
+    assert got.shape == (spec.n_events, len(strategies), spec.n_constraints + 1)
+    assert got.dtype == np.float64 and got.flags.c_contiguous
+    want = oracles.strategy_event_penalties(spec, strategies)
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 10**6), joint=st.booleans())
+def test_event_penalties_match_per_entry_oracle(seed, joint):
+    gen = np.random.default_rng(seed)
+    spec = random_spec(gen, max_users=3, strategy_cap=200, joint=joint)
+    every = cs.enumerate_all(spec, cap=200)
+    _assert_tensor_matches_oracle(spec, every)
+    _assert_tensor_matches_oracle(spec, cs.drop_act_on_zero(spec, every))
+    subset = every[gen.permutation(len(every))[: int(gen.integers(1, len(every) + 1))]]
+    _assert_tensor_matches_oracle(spec, subset)
+    _assert_tensor_matches_oracle(spec, [every[int(gen.integers(0, len(every)))].tolist()])
+
+
+def test_event_penalties_match_oracle_on_fixtures(two_sensor):
+    spec = fixtures.counterexample_spec()  # K = 0: one penalty column
+    assert spec.n_constraints == 0
+    _assert_tensor_matches_oracle(spec, cs.enumerate_all(spec))
+    spec, strategies = two_sensor
+    correlated = cs.ProblemSpec(
+        action_sizes=spec.action_sizes,
+        event_sizes=spec.event_sizes,
+        distribution=cs.JointDistribution(np.array([[0.35, 0.05], [0.05, 0.55]])),
+        penalties=spec.penalties,
+        constraints=spec.constraints,
+    )
+    _assert_tensor_matches_oracle(correlated, cs.enumerate_all(correlated))
+    _assert_tensor_matches_oracle(spec, strategies)
+
+
 def test_strategy_action_table_matches_maps(two_sensor):
     spec, strategies = two_sensor
     table = strategy_action_table(spec, strategies)
