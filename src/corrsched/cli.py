@@ -38,6 +38,10 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
+    if args.stride is None:
+        args.stride = SimConfig.stride
+    elif args.runs > 1:
+        raise ValueError("--stride applies to a single run's trace, not to --runs > 1")
     spec = _load_checked_spec(args.spec)
     phases = fileio.load_phases(args.phases, spec) if args.phases else None
     dpp = DppConfig(v=args.v, delay=args.delay, mode=args.mode, window=args.window)
@@ -134,7 +138,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", choices=MODES, default="exact")
     p.add_argument("--phases", default=None)
     p.add_argument("--runs", type=int, default=1)
-    p.add_argument("--stride", type=int, default=100)
+    p.add_argument("--stride", type=int, default=None,
+                   help=f"record every N-th slot of a single run's trace (default {SimConfig.stride})")
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_simulate)
 

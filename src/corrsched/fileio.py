@@ -25,7 +25,7 @@ from .problem import (
     ProblemSpec,
     ProductDistribution,
 )
-from .simulator import Metrics, Phase
+from .simulator import Metrics, Phase, check_phases
 from .strategy import user_maps
 
 
@@ -146,7 +146,12 @@ def load_phases(path, spec: ProblemSpec) -> list[Phase]:
             ),
         )
 
-    return _load(path, lambda obj: _field(obj, "phases", lambda v: [phase(ph) for ph in v]))
+    def parse(obj) -> list[Phase]:
+        phases = _field(obj, "phases", lambda v: [phase(ph) for ph in v])
+        check_phases(phases, spec.event_sizes)
+        return phases
+
+    return _load(path, parse)
 
 
 def policy_to_dict(spec: ProblemSpec, policy: CorrelatedPolicy) -> dict[str, Any]:

@@ -3,10 +3,12 @@
 Each constraint carries a virtual queue updated by
 ``Q_k(t+1) = max(Q_k(t) + p_k(t-D) - c_k, 0)`` with ``p_k`` taken as zero for
 negative slots.  Every slot the controller picks the strategy index
-minimizing ``V r_0 + sum_k Q_k r_k``, using exact expected penalties or a
-moving-window estimate of them.  Ties always resolve to the lowest index.
-When every penalty splits per user, exact mode splits the minimum too: each
-user takes its own argmin at its own event, with no strategy enumeration.
+minimizing ``V r_0 + sum_k Q_k r_k``.  Exact and approx mode differ only in
+the matrix those weights multiply: the exact expected penalties ``r``, or
+the window's running sums of sampled penalty rows.  Ties always resolve to
+the lowest index.  When every penalty splits per user, exact mode splits
+the minimum too: each user takes its own argmin at its own event, with no
+strategy enumeration.
 
 The queue update and the selection rules themselves run in the simulator's
 kernel, over chunks of slots and many runs at once.  This module holds what
@@ -63,6 +65,9 @@ class RollingEstimator:
     their penalty rows over ``count`` samples, so the estimate for each
     strategy and penalty is ``sums / count``.  The kernel scores strategies
     with ``sums`` itself: dividing by the count does not move the argmin.
+    ``push`` updates ``sums`` in place, so a caller may rebind it to a row of
+    a larger array, as the simulator does to score every run's window with
+    one stacked product.
     """
 
     def __init__(self, event_penalties: np.ndarray, window: int):

@@ -351,12 +351,49 @@ class ValidationReport:
         self.violations.append(message)
 
 
-def validate_spec(spec: ProblemSpec) -> ValidationReport:
-    """Check sizes, distribution normalization, and penalty finiteness.
+def distribution_violations(dist: EventDistribution, event_sizes: Sequence[int]) -> list[str]:
+    """What is wrong with dist as a distribution over events of these sizes; empty when valid.
 
-    Returns a report object; it never raises.  Product-mode marginals must be
+    Every probability must be finite.  Product-mode marginals must be
     strictly positive (zero marginals break the pruning theory this library
     relies on), while joint tables may contain zeros.
+    """
+    violations = []
+    if isinstance(dist, ProductDistribution):
+        if len(dist.marginals) != len(event_sizes):
+            return ["marginal count != number of users"]
+        for i, q in enumerate(dist.marginals):
+            if q.shape != (event_sizes[i],):
+                violations.append(f"user {i} marginal has wrong length")
+                continue
+            if not np.all(np.isfinite(q)):
+                violations.append(f"user {i} marginal has non-finite entries")
+                continue
+            if np.any(q < 0):
+                violations.append(f"user {i} marginal has negative entries")
+            if abs(q.sum() - 1.0) > PROB_TOL:
+                violations.append(f"user {i} marginal not normalized (sum {q.sum()!r})")
+            if np.any(q <= 0):
+                violations.append(f"user {i} has a zero marginal probability")
+    elif isinstance(dist, JointDistribution):
+        if dist.table.shape != tuple(event_sizes) and dist.table.size != math.prod(event_sizes):
+            return ["joint table shape does not match event sizes"]
+        flat = dist.table.reshape(-1)
+        if not np.all(np.isfinite(flat)):
+            return ["joint table has non-finite entries"]
+        if np.any(flat < 0):
+            violations.append("joint table has negative entries")
+        if abs(flat.sum() - 1.0) > PROB_TOL:
+            violations.append(f"joint table not normalized (sum {flat.sum()!r})")
+    else:
+        violations.append(f"unknown distribution type {type(dist).__name__}")
+    return violations
+
+
+def validate_spec(spec: ProblemSpec) -> ValidationReport:
+    """Check sizes, the distribution (``distribution_violations``), and penalty finiteness.
+
+    Returns a report object; it never raises.
     """
     report = ValidationReport()
     if spec.n_users < 1:
@@ -374,32 +411,8 @@ def validate_spec(spec: ProblemSpec) -> ValidationReport:
         )
         return report
 
-    dist = spec.distribution
-    if isinstance(dist, ProductDistribution):
-        if len(dist.marginals) != spec.n_users:
-            report.add("marginal count != number of users")
-        else:
-            for i, q in enumerate(dist.marginals):
-                if q.shape != (spec.event_sizes[i],):
-                    report.add(f"user {i} marginal has wrong length")
-                    continue
-                if np.any(q < 0):
-                    report.add(f"user {i} marginal has negative entries")
-                if abs(q.sum() - 1.0) > PROB_TOL:
-                    report.add(f"user {i} marginal not normalized (sum {q.sum()!r})")
-                if np.any(q <= 0):
-                    report.add(f"user {i} has a zero marginal probability")
-    elif isinstance(dist, JointDistribution):
-        if dist.table.shape != spec.event_sizes and dist.table.size != spec.n_events:
-            report.add("joint table shape does not match event sizes")
-        else:
-            flat = dist.table.reshape(-1)
-            if np.any(flat < 0):
-                report.add("joint table has negative entries")
-            if abs(flat.sum() - 1.0) > PROB_TOL:
-                report.add(f"joint table not normalized (sum {flat.sum()!r})")
-    else:
-        report.add(f"unknown distribution type {type(dist).__name__}")
+    for message in distribution_violations(spec.distribution, spec.event_sizes):
+        report.add(message)
 
     for k, pen in enumerate(spec.penalties):
         try:

@@ -35,6 +35,7 @@ from .online import DppConfig, RollingEstimator, separable_components
 from .problem import (
     EventDistribution,
     ProblemSpec,
+    distribution_violations,
     flat_event_probabilities,
     joint_components,
     joint_strides,
@@ -133,9 +134,18 @@ def resolve_strategies(spec: ProblemSpec) -> np.ndarray:
     return enumerate_all(spec)
 
 
+def check_phases(phases: Sequence[Phase], event_sizes: Sequence[int]) -> None:
+    """Raise ValueError naming the first phase, by list index, whose distribution is invalid."""
+    for i, ph in enumerate(phases):
+        problems = distribution_violations(ph.distribution, event_sizes)
+        if problems:
+            raise ValueError(f"phase {i}: " + "; ".join(problems))
+
+
 def _resolve_phases(config: SimConfig) -> list[Phase]:
     if not config.phases:
         return [Phase(0, config.horizon, config.spec.distribution)]
+    check_phases(config.phases, config.spec.event_sizes)
     phases = sorted(config.phases, key=lambda ph: ph.start)
     if phases[0].start != 0 or phases[-1].end != config.horizon:
         raise ValueError("phases must cover [0, horizon)")
@@ -169,7 +179,9 @@ class _Controller:
 
     ``table[w, col]`` is the penalty vector of column ``col`` at event w:
     columns are strategies in exact and approx mode and joint actions under
-    the per-user rule, whose ``mode`` is "separable".
+    the per-user rule, whose ``mode`` is "separable".  In exact and approx
+    mode each run takes the column minimising ``S . (V, Q)`` for its matrix
+    S in ``scored``; the modes differ only in that matrix.
     """
 
     mode: str
@@ -177,11 +189,11 @@ class _Controller:
     delay: int
     constraints: np.ndarray
     table: np.ndarray
-    r: np.ndarray | None = None  # exact: expected penalties in the current phase
-    estimators: list[RollingEstimator] | None = None  # approx: one per run
-    components: list[np.ndarray] | None = None  # separable: (|Omega_i|, |A_i|, K+1) per user
-    action_strides: np.ndarray | None = None
-    omega_comp: np.ndarray | None = None
+    # (1 or runs, M, K+1): exact, the phase's expected penalties r[None]; approx, window sums
+    scored: np.ndarray | None = None
+    estimators: list[RollingEstimator] | None = None  # approx: one per run, on rows of scored
+    # separable: (action stride, components (n_events, |A_i|, K+1) by joint event) per user
+    per_user: list[tuple[np.int64, np.ndarray]] | None = None
 
 
 def _controller(config: SimConfig, runs: int) -> _Controller:
@@ -196,31 +208,31 @@ def _controller(config: SimConfig, runs: int) -> _Controller:
     split = separable_components(spec) if dpp.mode == "exact" and own_set else None
     if split is not None:
         comps, tables = split
+        strides, omega_comp = joint_strides(spec.action_sizes), joint_components(spec.event_sizes)
         return _Controller(
             mode="separable",
             v=dpp.v,
             delay=dpp.delay,
             constraints=constraints,
             table=np.ascontiguousarray(tables.transpose(1, 2, 0)),
-            components=[np.ascontiguousarray(comp.transpose(1, 2, 0)) for comp in comps],
-            action_strides=joint_strides(spec.action_sizes),
-            omega_comp=joint_components(spec.event_sizes),
+            per_user=[
+                (strides[i], np.ascontiguousarray(comp.transpose(1, 2, 0)[omega_comp[:, i]]))
+                for i, comp in enumerate(comps)
+            ],
         )
     event_pen = config.event_penalties
     if event_pen is None:
         strategies = resolve_strategies(spec) if config.strategies is None else config.strategies
         event_pen = strategy_event_penalties(spec, strategies)
-    estimators = None
-    if dpp.mode == "approx":
-        estimators = [RollingEstimator(event_pen, dpp.window) for _ in range(runs)]
-    return _Controller(
-        mode=dpp.mode,
-        v=dpp.v,
-        delay=dpp.delay,
-        constraints=constraints,
-        table=event_pen,
-        estimators=estimators,
+    ctl = _Controller(
+        mode=dpp.mode, v=dpp.v, delay=dpp.delay, constraints=constraints, table=event_pen
     )
+    if dpp.mode == "approx":
+        ctl.scored = np.zeros((runs,) + event_pen.shape[1:])
+        ctl.estimators = [RollingEstimator(event_pen, dpp.window) for _ in range(runs)]
+        for estimator, sums in zip(ctl.estimators, ctl.scored):
+            estimator.sums = sums  # pushes accumulate into the scored row
+    return ctl
 
 
 def _step_single(ctl: _Controller, t0: int, n: int, ev, pen, qa, ms) -> None:
@@ -238,28 +250,23 @@ def _step_single(ctl: _Controller, t0: int, n: int, ev, pen, qa, ms) -> None:
     q = w[1:]  # live queues, updated in place inside the weight vector
     c = ctl.constraints
     table = ctl.table
-    mode = ctl.mode
-    if mode == "exact":
-        score = ctl.r.dot
-    elif mode == "approx":
-        estimator = ctl.estimators[0]
-        first_push = d - t0  # slot d is the first with a revealed sample
+    per_user = ctl.per_user
+    if per_user is None:
+        score = ctl.scored[0].dot
+    if ctl.estimators is None:
+        first_push = n  # no window to feed
     else:
-        comps, strides, omega_comp = ctl.components, ctl.action_strides, ctl.omega_comp
-        users = range(len(comps))
+        push, first_push = ctl.estimators[0].push, d - t0  # slot d is the first revealed
     for i in range(n):
         wf = ev[d + i]
-        if mode == "exact":
-            col = m = score(w).argmin()
-        elif mode == "approx":
+        if per_user is None:
             if i >= first_push:
-                estimator.push(ev[i])
-            col = m = estimator.sums.dot(w).argmin()
+                push(ev[i])
+            col = m = score(w).argmin()
         else:
-            col = 0
-            for u in users:
-                col += strides[u] * comps[u][omega_comp[wf, u]].dot(w).argmin()
-            m = -1
+            col, m = 0, -1
+            for stride, comp in per_user:
+                col += stride * comp[wf].dot(w).argmin()
         pen[d + i] = table[wf, col]
         ms[i] = m
         q += delayed[i]
@@ -271,11 +278,11 @@ def _step_single(ctl: _Controller, t0: int, n: int, ev, pen, qa, ms) -> None:
 def _step_batched(ctl: _Controller, t0: int, n: int, ev, pen, qa, ms) -> None:
     """Slots t0..t0+n-1 of every run in lockstep; same buffer rows as _step_single.
 
-    Exact mode scores all runs with one stacked matrix-vector product,
-    ``np.matmul(r, w[:, :, None])``: per run it is the same gemv as
-    ``r.dot(w_run)``, so selections match single runs bit for bit (a 2-D
-    ``w @ r.T`` gemm does not).  Approx mode and the per-user rule select run
-    by run.
+    Exact and approx mode score all runs with one stacked matrix-vector
+    product, ``np.matmul(scored, w[:, :, None])``: per run it is the same
+    gemv as ``scored[j].dot(w_run)``, so selections match single runs bit
+    for bit (a 2-D ``w @ r.T`` gemm does not).  Only the per-user rule
+    selects run by run.
     Queues and penalties are (K, runs) blocks, so the queue update runs on
     contiguous rows; the weights are copied out per slot for scoring.
     """
@@ -286,42 +293,32 @@ def _step_batched(ctl: _Controller, t0: int, n: int, ev, pen, qa, ms) -> None:
     w[:, 0] = ctl.v
     w[:, 1:] = q.T
     c = ctl.constraints[:, None]
-    mode = ctl.mode
     n_cols = ctl.table.shape[1]
     flat = ctl.table.reshape(-1, ctl.table.shape[2])  # row w * n_cols + col
     offsets = ev[d : d + n] * n_cols
     cols = np.empty(runs, dtype=np.int64)
     rows = np.empty(runs, dtype=np.int64)
     gathered = np.empty((runs, flat.shape[1]))
-    if mode == "exact":
-        r = ctl.r
+    per_user = ctl.per_user
+    if per_user is None:
+        scored = ctl.scored
         w_stack = w[:, :, None]
-        scores = np.empty((runs, len(r), 1))
+        scores = np.empty((runs, n_cols, 1))
         scores_2d = scores[:, :, 0]
-    elif mode == "approx":
-        estimators = list(enumerate(ctl.estimators))
-        first_push = d - t0
-    else:
-        comps, strides, omega_comp = ctl.components, ctl.action_strides, ctl.omega_comp
-        users = range(len(comps))
+    first_push = n if ctl.estimators is None else d - t0  # as in _step_single
     for i in range(n):
-        if mode == "exact":
-            np.matmul(r, w_stack, out=scores)
+        if per_user is None:
+            if i >= first_push:
+                for estimator, event in zip(ctl.estimators, ev[i]):
+                    estimator.push(event)
+            np.matmul(scored, w_stack, out=scores)
             scores_2d.argmin(axis=1, out=cols)
             ms[i] = cols
-        elif mode == "approx":
-            revealed = ev[i] if i >= first_push else None
-            for j, estimator in estimators:
-                if revealed is not None:
-                    estimator.push(revealed[j])
-                cols[j] = estimator.sums.dot(w[j]).argmin()
-            ms[i] = cols
         else:
-            wf = ev[d + i]
-            for j in range(runs):
-                wj, wfj, col = w[j], wf[j], 0
-                for u in users:
-                    col += strides[u] * comps[u][omega_comp[wfj, u]].dot(wj).argmin()
+            for j, wfj in enumerate(ev[d + i]):
+                wj, col = w[j], 0
+                for stride, comp in per_user:
+                    col += stride * comp[wfj].dot(wj).argmin()
                 cols[j] = col
             ms[i] = -1
         np.add(offsets[i], cols, out=rows)
@@ -378,7 +375,7 @@ def _simulate(
         length = ph.end - ph.start
         if ctl.mode == "exact":
             pi = flat_event_probabilities(ph.distribution, spec.event_sizes)
-            ctl.r = np.tensordot(pi, ctl.table, axes=(0, 0))
+            ctl.scored = np.tensordot(pi, ctl.table, axes=(0, 0))[None]
         for a in range(ph.start, ph.end, chunk):
             n = min(chunk, ph.end - a)
             cur = slice(d, d + n)

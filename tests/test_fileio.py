@@ -340,6 +340,50 @@ def test_cli_malformed_nested_entry_is_one_line(tmp_path, capsys, field, damage)
     assert f"ValueError: {paths[field]}: field {field!r}: " in err
 
 
+@pytest.mark.parametrize(
+    "dist,problem",
+    [
+        ({"product": [[0.9, 0.9], [0.5, 0.5]]}, "user 0 marginal not normalized"),
+        ({"product": [[0.5, 0.5], [-0.5, 1.5]]}, "user 1 marginal has negative entries"),
+        ({"product": [[0.5, 0.5], [0.2, 0.3, 0.5]]}, "user 1 marginal has wrong length"),
+        ({"joint": [0.5, -0.25, 0.25, 0.5]}, "joint table has negative entries"),
+    ],
+    ids=["unnormalized", "negative", "wrong-length", "joint-negative"],
+)
+def test_cli_invalid_phase_distribution_is_one_line(tmp_path, capsys, dist, problem):
+    # these phases used to run and exit 0 with wrong numbers, or fail naming no file
+    good = {"product": [[0.5, 0.5], [0.5, 0.5]]}
+    phases = _spec_file(tmp_path, {"phases": [{"start": 0, "end": 3, "distribution": good},
+                                              {"start": 3, "end": 5, "distribution": dist}]},
+                        name="phases.json")
+    argv = ["simulate", "--spec", str(FIXDIR / "two_sensor.json"), "--v", "1", "--slots", "5",
+            "--seed", "1", "--phases", phases, "--out", str(tmp_path / "run")]
+    err = _cli_error(capsys, argv)
+    assert f"ValueError: {phases}: phase 1: {problem}" in err
+    assert not (tmp_path / "run.metrics").exists()
+
+
+def test_cli_nan_probability_is_one_line(tmp_path, capsys):
+    # a NaN probability used to pass validation: simulate reported utility 0.000000
+    obj = fileio.spec_to_dict(fixtures.two_sensor_spec())
+    obj["distribution"] = {"product": [[float("nan"), 0.5], [0.5, 0.5]]}
+    spec = _spec_file(tmp_path, obj)
+    argv = ["simulate", "--spec", spec, "--v", "1", "--slots", "5", "--seed", "1",
+            "--out", str(tmp_path / "run")]
+    err = _cli_error(capsys, argv)
+    assert "ValueError: invalid spec: user 0 marginal has non-finite entries" in err
+    assert not (tmp_path / "run.metrics").exists()
+
+
+def test_cli_stride_with_runs_is_one_line(tmp_path, capsys):
+    # an ensemble keeps every slot's mean; the stride used to be dropped, yet echoed
+    argv = ["simulate", "--spec", str(FIXDIR / "two_sensor.json"), "--v", "1", "--slots", "300",
+            "--seed", "1", "--runs", "3", "--stride", "7", "--out", str(tmp_path / "run")]
+    err = _cli_error(capsys, argv)
+    assert "ValueError: --stride applies to a single run's trace, not to --runs > 1" in err
+    assert not list(tmp_path.iterdir())
+
+
 def test_cli_infeasible_is_one_line(tmp_path, capsys):
     obj = fileio.spec_to_dict(fixtures.two_sensor_spec())
     obj["constraints"] = [-1.0, -1.0]  # power can never go negative

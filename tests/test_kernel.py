@@ -320,14 +320,23 @@ def test_chunked_event_draws_equal_one_shot(distribution, n, chunk):
 @pytest.mark.parametrize("runs", [1, 10, 100])
 @pytest.mark.parametrize("shape", [(4, 3), (1000, 4)])
 def test_stacked_matvec_equals_per_run_dot(shape, runs):
-    """The batched step"s score op must round exactly like r.dot(w) per run."""
+    """The batched step"s score op must round exactly like r.dot(w) per run.
+
+    Exact mode scores one r broadcast over the runs, approx mode a stack of
+    per-run window sums; both must match each run's own ``dot``.
+    """
     gen = np.random.default_rng(runs * shape[0])
     r = gen.uniform(-1.0, 1.0, shape)
     w = gen.uniform(0.0, 50.0, (runs, shape[1]))
-    scores = np.empty((runs, shape[0], 1))
-    np.matmul(r, w[:, :, None], out=scores)
-    per_run = np.array([r.dot(wj) for wj in w])
-    assert scores[:, :, 0].tobytes() == per_run.tobytes()
+    stacked = gen.uniform(-1.0, 1.0, (runs,) + shape)
+    for first, per_run in [
+        (r, [r.dot(wj) for wj in w]),
+        (r[None], [r.dot(wj) for wj in w]),
+        (stacked, [s.dot(wj) for s, wj in zip(stacked, w)]),
+    ]:
+        scores = np.empty((runs, shape[0], 1))
+        np.matmul(first, w[:, :, None], out=scores)
+        assert scores[:, :, 0].tobytes() == np.array(per_run).tobytes()
 
 
 def test_episode_memory_does_not_grow_with_horizon():

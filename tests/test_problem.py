@@ -44,6 +44,31 @@ def test_unnormalized_joint_rejected():
     assert any("not normalized" in v for v in report.violations)
 
 
+@pytest.mark.parametrize(
+    "distribution,problem",
+    [
+        (cs.ProductDistribution((np.array([np.nan, 0.5]), np.array([0.5, 0.5]))),
+         "user 0 marginal has non-finite entries"),
+        (cs.ProductDistribution((np.array([0.5, 0.5]), np.array([np.inf, 0.5]))),
+         "user 1 marginal has non-finite entries"),
+        (cs.JointDistribution(np.array([[0.25, np.nan], [0.25, 0.25]])),
+         "joint table has non-finite entries"),
+    ],
+    ids=["product-nan", "product-inf", "joint-nan"],
+)
+def test_non_finite_probabilities_rejected(distribution, problem):
+    # NaN compares False with every bound, so it used to pass every check
+    spec = fixtures.two_sensor_spec()
+    bad = cs.ProblemSpec(
+        action_sizes=spec.action_sizes,
+        event_sizes=spec.event_sizes,
+        distribution=distribution,
+        penalties=spec.penalties,
+        constraints=spec.constraints,
+    )
+    assert cs.validate_spec(bad).violations == [problem]
+
+
 def test_penalty_length_mismatch_reported():
     spec = fixtures.two_sensor_spec()
     bad = cs.ProblemSpec(

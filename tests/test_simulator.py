@@ -188,6 +188,29 @@ def test_phase_validation(two_sensor):
         cs.run_episode(_cfg(spec, strategies, horizon=1000, phases=short))
 
 
+@pytest.mark.parametrize(
+    "distribution,problem",
+    [
+        (cs.ProductDistribution((np.array([0.9, 0.9]), np.array([0.5, 0.5]))),
+         "user 0 marginal not normalized"),
+        (cs.ProductDistribution((np.array([0.5, 0.5]), np.array([0.2, 0.3, 0.5]))),
+         "user 1 marginal has wrong length"),
+        (cs.JointDistribution(np.array([[0.5, np.nan], [0.25, 0.25]])),
+         "joint table has non-finite entries"),
+    ],
+    ids=["unnormalized", "wrong-length", "joint-nan"],
+)
+@pytest.mark.parametrize("runs", [1, 3])
+def test_invalid_phase_distribution_rejected(two_sensor, distribution, problem, runs):
+    # such phases used to run, with wrong numbers or an unrelated numpy error
+    spec, strategies = two_sensor
+    phases = [cs.Phase(0, 50, distribution), cs.Phase(50, 100, spec.distribution)]
+    cfg = _cfg(spec, strategies, horizon=100, phases=phases, runs=runs)
+    run = cs.run_episode if runs == 1 else cs.run_ensemble
+    with pytest.raises(ValueError, match=f"^phase 0: {problem}"):
+        run(cfg)
+
+
 def test_phase_switch_changes_sampling(two_sensor):
     spec, strategies = two_sensor
     unconstrained = cs.ProblemSpec(
