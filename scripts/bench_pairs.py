@@ -1,21 +1,23 @@
 #!/usr/bin/env python3
-"""Alternating parent/change pairs of the corrsched benchmark, one workload.
+"""Alternating parent/change pairs of the corrsched benchmark, for one or more workloads.
 
-    python3 scripts/bench_pairs.py --base REV --workload NAME --pairs 10 --seed 801
+    python3 scripts/bench_pairs.py --base REV --workload NAME [NAME ...] --pairs 10 --seed 801
 
 The change is this checkout's working tree; the parent is commit REV, written
 with ``git archive`` into a temporary directory that is removed afterwards.
-Pair j runs ``perfbench/run.py --trace 0`` once on each side with seed + j,
-the parent first when j is even and the change first when j is odd.  Every
-run's iteration count and metrics are printed as it ends; then the median
-[quartiles] of both sides' iteration counts and, for each end-to-end metric,
-of its values, the number of pairs in which the change read lower, and
-whether a gain in it may be claimed.  The claim rule: at least MIN_PAIRS
+The workloads run one after another, each with all its pairs.  Pair j runs
+``perfbench/run.py --trace 0`` once on each side with seed + j, the parent
+first when j is even and the change first when j is odd.  Every run's
+iteration count and metrics are printed as it ends; after a workload's last
+pair comes its summary block: the median [quartiles] of both sides'
+iteration counts and, for each end-to-end metric, of its values, the number
+of pairs in which the change read lower, and whether a gain in it may be
+claimed.  The claim rule: at least MIN_PAIRS
 pairs, the change lower in at least nine tenths of them (ties count for
 neither side), and the parent's median above the change's by more than the
 parent's interquartile range.  Printing the iteration counts shows when a
 metric such as ``setup_s`` moved with the number of iterations that fit into
-a run.  The exit code is 1 when any run failed a check.
+a run.  The exit code is 1 when any run of any workload failed a check.
 
 Only one copy runs at a time on a host: the script holds an exclusive
 ``fcntl`` lock on a file in the temporary directory, because two copies
@@ -99,10 +101,44 @@ def median_quartiles(q) -> str:
     return f"{q[1]:.6g} [{q[0]:.6g}, {q[2]:.6g}]"
 
 
+def run_pairs(workload: str, base: str, checkouts: dict[str, Path], args) -> int:
+    """Run one workload's pairs and print its summary block; returns how many runs failed."""
+    runs: dict[str, list[dict]] = {"parent": [], "change": []}
+    iterations: dict[str, list[int]] = {"parent": [], "change": []}
+    failed = 0
+    for j in range(args.pairs):
+        seed = args.seed + j
+        for side in ("parent", "change") if j % 2 == 0 else ("change", "parent"):
+            ok, metrics, count = run_once(checkouts[side], workload, seed, args.seconds)
+            failed += not ok
+            runs[side].append(metrics)
+            if count is not None:
+                iterations[side].append(count)
+            values = " ".join(f"{k}={v:.6g}" for k, v in metrics.items())
+            print(f"pair {j} seed {seed} {side}: {'ok' if ok else 'FAILED'} "
+                  f"iterations={count} {values}", flush=True)
+
+    print(f"{workload}: parent {base} -> working tree, median [quartiles]")
+    counts = [
+        median_quartiles(np.percentile(iterations[side], [25, 50, 75])) if iterations[side] else "none"
+        for side in ("parent", "change")
+    ]
+    print(f"  iterations: {counts[0]} -> {counts[1]}")
+    for name, a, b, wins, n in summarize(runs["parent"], runs["change"]):
+        verdict = "met" if claim_rule_met(a, b, wins, n) else "not met"
+        print(f"  {name}: {median_quartiles(a)} -> {median_quartiles(b)}; "
+              f"change lower in {wins}/{n} pairs; "
+              f"median gap {a[1] - b[1]:.6g} vs parent IQR {a[2] - a[0]:.6g}; claim rule {verdict}",
+              flush=True)
+    if failed:
+        print(f"{workload}: {failed} run(s) failed a check", file=sys.stderr)
+    return failed
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--base", required=True, help="parent commit")
-    parser.add_argument("--workload", required=True)
+    parser.add_argument("--workload", required=True, nargs="+", help="one or more workload names")
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seed", type=int, required=True, help="seed of pair 0")
     parser.add_argument("--seconds", type=float, default=20.0)
@@ -114,37 +150,12 @@ def main(argv=None) -> int:
         except BlockingIOError:
             print(f"error: another bench_pairs run holds {LOCK}", file=sys.stderr)
             return 2
-        runs: dict[str, list[dict]] = {"parent": [], "change": []}
-        iterations: dict[str, list[int]] = {"parent": [], "change": []}
         failed = 0
         with tempfile.TemporaryDirectory(prefix="bench-parent-") as parent_dir:
             export(args.base, Path(parent_dir))
             checkouts = {"parent": Path(parent_dir), "change": ROOT}
-            for j in range(args.pairs):
-                seed = args.seed + j
-                for side in ("parent", "change") if j % 2 == 0 else ("change", "parent"):
-                    ok, metrics, count = run_once(checkouts[side], args.workload, seed, args.seconds)
-                    failed += not ok
-                    runs[side].append(metrics)
-                    if count is not None:
-                        iterations[side].append(count)
-                    values = " ".join(f"{k}={v:.6g}" for k, v in metrics.items())
-                    print(f"pair {j} seed {seed} {side}: {'ok' if ok else 'FAILED'} "
-                          f"iterations={count} {values}", flush=True)
-
-    print(f"{args.workload}: parent {args.base} -> working tree, median [quartiles]")
-    counts = [
-        median_quartiles(np.percentile(iterations[side], [25, 50, 75])) if iterations[side] else "none"
-        for side in ("parent", "change")
-    ]
-    print(f"  iterations: {counts[0]} -> {counts[1]}")
-    for name, a, b, wins, n in summarize(runs["parent"], runs["change"]):
-        verdict = "met" if claim_rule_met(a, b, wins, n) else "not met"
-        print(f"  {name}: {median_quartiles(a)} -> {median_quartiles(b)}; "
-              f"change lower in {wins}/{n} pairs; "
-              f"median gap {a[1] - b[1]:.6g} vs parent IQR {a[2] - a[0]:.6g}; claim rule {verdict}")
-    if failed:
-        print(f"{failed} run(s) failed a check", file=sys.stderr)
+            for workload in args.workload:
+                failed += run_pairs(workload, args.base, checkouts, args)
     return 1 if failed else 0
 
 

@@ -37,7 +37,9 @@ from .optimizer import (
     CentralizedPolicy,
     CorrelatedPolicy,
     brute_force_distributed_oracle,
-    sample_strategies,
+    epsilon_max,
+    offline_model,
+    resolve_strategies,
     solve_centralized_lp,
     solve_distributed_lp,
 )
@@ -70,7 +72,6 @@ from .analysis import (
     audit_bounds,
     audit_slater,
     compare_policies,
-    epsilon_max,
     verify_counterexample,
 )
 

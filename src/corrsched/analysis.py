@@ -14,20 +14,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fixtures import counterexample_spec
-from .online import DppConfig, compute_B, compute_F, performance_bound, queue_change_bound, slater_queue_bound
-from .optimizer import solve_centralized_lp, solve_distributed_lp
-from .problem import ProblemSpec
-from .simplex import Infeasible, LpProblem, LpStatus, solve_lp
+from .online import DppConfig, performance_bound, queue_change_bound, slater_queue_bound
+from .optimizer import offline_model, solve_centralized_lp, solve_distributed_lp
+from .problem import CapExceeded, ProblemSpec
+from .simplex import Infeasible
 from .simulator import EnsembleMetrics, Trace, summarize
-from .strategy import (
-    count_all,
-    enumerate_all,
-    enumerate_nondecreasing,
-    prune_applicable,
-    r_matrix,
-    strategy_event_penalties,
-    user_map_counts,
-)
+from .strategy import count_all, enumerate_all, enumerate_nondecreasing, r_matrix, user_map_counts
+
+# unused here; perfbench's span wrappers look these names up in this module
+from .simplex import solve_lp  # noqa: F401
+from .strategy import prune_applicable  # noqa: F401
 
 PROBE_COMBO_CAP = 4096
 ASCENT_TOL = 1e-9
@@ -132,6 +128,7 @@ def _ascend_mixture(spec: ProblemSpec, corners: np.ndarray) -> np.ndarray:
 def compare_policies(spec: ProblemSpec) -> ComparisonReport:
     """Best independent (probed), correlated, and centralized utilities.
 
+    The correlated and centralized optima are the spec's offline model's.
     The independent probe sweeps per-user base maps mixed with the idle map,
     optimizing activation probabilities by exact coordinate ascent; each
     probe is itself a valid distributed policy, so probed utilities can never
@@ -139,18 +136,18 @@ def compare_policies(spec: ProblemSpec) -> ComparisonReport:
     (every strategy, or the non-decreasing ones past PROBE_COMBO_CAP).  Map 0
     of every user idles, so each mixture's corners are grid rows as well and
     one r_matrix over the grid prices every mixture; when the grid is the
-    LP's own strategy set, that r feeds the LP too.  All probes then ascend
-    together in one lockstep batch (several when their corner rows pass
-    PROBE_COMBO_CAP).
+    model's strategy set, the model's r is that matrix.  All probes then
+    ascend together in one lockstep batch (several when their corner rows
+    pass PROBE_COMBO_CAP).
     """
-    pruned = prune_applicable(spec)
-    strategies = enumerate_nondecreasing(spec) if pruned else enumerate_all(spec)
+    model = offline_model(spec)
+    distributed, centralized = model.correlated, model.centralized
     monotone = count_all(spec) > PROBE_COMBO_CAP
-    shared = not (pruned or monotone)  # the probe grid is the LP's strategy set
-    r = r_matrix(spec, strategies) if shared else None
-    distributed = solve_distributed_lp(spec, strategies, r=r)
-    centralized = solve_centralized_lp(spec)
-    if not shared:
+    if model.pruned == monotone:  # the probe grid is the model's strategy set
+        if len(model.strategies) > PROBE_COMBO_CAP:
+            raise CapExceeded(len(model.strategies), PROBE_COMBO_CAP)
+        r = model.r
+    else:
         grid = enumerate_nondecreasing(spec, PROBE_COMBO_CAP) if monotone else enumerate_all(spec)
         r = r_matrix(spec, grid)
     counts = user_map_counts(spec, monotone)
@@ -176,35 +173,6 @@ def compare_policies(spec: ProblemSpec) -> ComparisonReport:
     )
 
 
-def epsilon_max(
-    spec: ProblemSpec,
-    strategies: np.ndarray,
-    r: np.ndarray | None = None,
-) -> float:
-    """Largest uniform constraint slack that keeps the strategy LP feasible.
-
-    One LP over (theta, eps): maximize eps subject to r_k . theta + eps <= c_k,
-    sum(theta) = 1, theta >= 0 and eps >= 0.  Positive slack is the Slater
-    condition.
-    """
-    if spec.n_constraints == 0:
-        raise ValueError("needs at least one constraint")
-    if r is None:
-        r = r_matrix(spec, strategies)
-    m, k = len(r), spec.n_constraints
-    lp = LpProblem(
-        cost=np.append(np.zeros(m), -1.0),
-        a_ub=np.column_stack((r[:, 1:].T, np.ones(k))),
-        b_ub=np.asarray(spec.constraints, dtype=float),
-        a_eq=np.append(np.ones(m), 0.0)[None, :],
-        b_eq=np.array([1.0]),
-    )
-    sol = solve_lp(lp)
-    if sol.status is not LpStatus.OPTIMAL:
-        raise Infeasible("constraints are infeasible even with zero slack")
-    return float(sol.x[-1])
-
-
 @dataclass(eq=False)
 class BoundReport:
     p0_opt: float
@@ -227,10 +195,9 @@ def audit_bounds(
     bound constrains an expectation and the trace is one sample path.  The
     queue (sample-path) check needs a stride-1 trace with metadata.
     """
-    event_pen = strategy_event_penalties(spec, strategies)
-    r = r_matrix(spec, strategies, event_pen)
-    p0_opt = solve_distributed_lp(spec, strategies, r=r).objective
-    b_const = compute_B(spec, strategies, event_pen)
+    model = offline_model(spec, strategies)
+    p0_opt = model.correlated.objective
+    b_const = model.b_const
     pbar0 = -trace.ubar
     counts = trace.t.astype(float) + 1.0
     var_p0 = float(np.var(trace.u))
@@ -277,14 +244,13 @@ def audit_slater(
     Uses the conservative gap constant, so the envelope is loose by design;
     a violation signals a real problem.
     """
-    event_pen = strategy_event_penalties(spec, strategies)
-    r = r_matrix(spec, strategies, event_pen)
-    p0_opt = solve_distributed_lp(spec, strategies, r=r).objective
-    eps = epsilon_max(spec, strategies, r=r)
+    model = offline_model(spec, strategies)
+    f_const = model.f_const  # solves the strategy LP first
+    eps = model.eps_max
     if eps <= 0:
         raise Infeasible("no uniform slack; the envelope needs a Slater point")
     delta_max = queue_change_bound(spec)
-    a_const = compute_B(spec, strategies, event_pen) + compute_F(spec, r, p0_opt) * v
+    a_const = model.b_const + f_const * v
     bounds = slater_queue_bound(a_const, eps, delta_max, np.arange(1, ensemble.horizon))
     worst = float(np.max(ensemble.mean_qnorm[1:] - bounds, initial=-math.inf))
     return SlaterReport(

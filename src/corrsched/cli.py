@@ -9,10 +9,10 @@ import numpy as np
 
 from . import analysis, fileio
 from .online import MODES, DppConfig
-from .optimizer import solve_distributed_lp
+from .optimizer import offline_model
 from .problem import CapExceeded, validate_spec
 from .simplex import Infeasible, IterationLimit
-from .simulator import SimConfig, read_trace, resolve_strategies, run_ensemble, run_episode, write_ensemble, write_trace
+from .simulator import SimConfig, read_trace, run_ensemble, run_episode, write_ensemble, write_trace
 
 
 def _load_checked_spec(path):
@@ -25,10 +25,10 @@ def _load_checked_spec(path):
 
 def _cmd_solve(args) -> int:
     spec = _load_checked_spec(args.spec)
-    strategies = resolve_strategies(spec)
-    policy = solve_distributed_lp(spec, strategies)
+    model = offline_model(spec)
+    policy = model.correlated
     fileio.save_policy(spec, policy, args.out)
-    print(f"strategies considered: {len(strategies)}")
+    print(f"strategies considered: {len(model.strategies)}")
     print(f"utility: {policy.utility:.12g}")
     print(f"support size: {len(policy.support)}")
     for k, val in enumerate(policy.achieved_constraints):
@@ -88,7 +88,7 @@ def _cmd_analyze(args) -> int:
     # metrics files of earlier versions echo a --window that an exact run ignored
     window = run_config.get("window") if mode == "approx" else None
     dpp = DppConfig(v=run_config["v"], delay=run_config["delay"], mode=mode, window=window)
-    report = analysis.audit_bounds(trace, spec, resolve_strategies(spec), dpp)
+    report = analysis.audit_bounds(trace, spec, offline_model(spec).strategies, dpp)
     print(f"optimal objective: {report.p0_opt:.12g} (utility {-report.p0_opt:.12g})")
     print(f"drift constant B: {report.b_const:.12g}")
     print(f"performance bound: {'ok' if report.perf_ok else 'VIOLATED'} "

@@ -146,8 +146,17 @@ def load_phases(path, spec: ProblemSpec) -> list[Phase]:
             ),
         )
 
+    def entries(values) -> list[Phase]:
+        out = []
+        for i, ph in enumerate(values):
+            try:
+                out.append(phase(ph))
+            except ValueError as exc:
+                raise ValueError(f"phase {i}: {exc}") from exc
+        return out
+
     def parse(obj) -> list[Phase]:
-        phases = _field(obj, "phases", lambda v: [phase(ph) for ph in v])
+        phases = _field(obj, "phases", entries)
         check_phases(phases, spec.event_sizes)
         return phases
 

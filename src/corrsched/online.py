@@ -65,12 +65,13 @@ class RollingEstimator:
     their penalty rows over ``count`` samples, so the estimate for each
     strategy and penalty is ``sums / count``.  The kernel scores strategies
     with ``sums`` itself: dividing by the count does not move the argmin.
-    ``push`` updates ``sums`` in place, so a caller may rebind it to a row of
-    a larger array, as the simulator does to score every run's window with
-    one stacked product.
+    ``push`` updates ``sums`` in place.  It starts as fresh zeros, or as the
+    zero (M, K+1) array passed as ``sums``, such as a row of a larger array:
+    the simulator scores every run's window with one stacked product that
+    way.
     """
 
-    def __init__(self, event_penalties: np.ndarray, window: int):
+    def __init__(self, event_penalties: np.ndarray, window: int, sums: np.ndarray | None = None):
         if window < 1:
             raise ValueError("window must be >= 1")
         self.event_penalties = event_penalties  # (n_events, M, K+1)
@@ -78,7 +79,7 @@ class RollingEstimator:
         self.samples = np.zeros(window, dtype=np.int64)
         self.count = 0
         self._pos = 0
-        self.sums = np.zeros(event_penalties.shape[1:])
+        self.sums = np.zeros(event_penalties.shape[1:]) if sums is None else sums
 
     def push(self, event_index: int) -> None:
         if self.count == self.window:

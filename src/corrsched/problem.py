@@ -42,6 +42,17 @@ def joint_components(sizes: Sequence[int]) -> np.ndarray:
     return np.array(np.unravel_index(np.arange(n), tuple(sizes))).T
 
 
+def _frozen(values) -> np.ndarray:
+    """A read-only float copy of values: a spec shares no array with its caller.
+
+    Offline answers are cached per spec object (``optimizer.offline_model``),
+    so the numbers they were computed from must never change.
+    """
+    out = np.array(values, dtype=float)
+    out.flags.writeable = False
+    return out
+
+
 # ---------------------------------------------------------------------------
 # Event distributions
 # ---------------------------------------------------------------------------
@@ -54,7 +65,7 @@ class JointDistribution:
     table: np.ndarray  # shape = event_sizes
 
     def __post_init__(self):
-        object.__setattr__(self, "table", np.asarray(self.table, dtype=float))
+        object.__setattr__(self, "table", _frozen(self.table))
 
 
 @dataclass(frozen=True, eq=False)
@@ -64,11 +75,7 @@ class ProductDistribution:
     marginals: tuple[np.ndarray, ...]
 
     def __post_init__(self):
-        object.__setattr__(
-            self,
-            "marginals",
-            tuple(np.asarray(q, dtype=float) for q in self.marginals),
-        )
+        object.__setattr__(self, "marginals", tuple(_frozen(q) for q in self.marginals))
 
 
 EventDistribution = Union[JointDistribution, ProductDistribution]
@@ -161,7 +168,7 @@ class FullTable:
     kind = "full_table"
 
     def __post_init__(self):
-        object.__setattr__(self, "values", np.asarray(self.values, dtype=float))
+        object.__setattr__(self, "values", _frozen(self.values))
 
     def expand(self, action_sizes, event_sizes) -> np.ndarray:
         n_omega = math.prod(event_sizes)
@@ -206,9 +213,7 @@ class MinSumUtilityNeg:
     kind = "min_sum_utility_neg"
 
     def __post_init__(self):
-        object.__setattr__(
-            self, "weights", tuple(np.asarray(w, dtype=float) for w in self.weights)
-        )
+        object.__setattr__(self, "weights", tuple(_frozen(w) for w in self.weights))
         object.__setattr__(self, "cap", float(self.cap))
 
     def expand(self, action_sizes, event_sizes) -> np.ndarray:
@@ -277,8 +282,8 @@ class ProductForm:
     kind = "product_form"
 
     def __post_init__(self):
-        object.__setattr__(self, "phis", tuple(np.asarray(p, dtype=float) for p in self.phis))
-        object.__setattr__(self, "psis", tuple(np.asarray(p, dtype=float) for p in self.psis))
+        object.__setattr__(self, "phis", tuple(_frozen(p) for p in self.phis))
+        object.__setattr__(self, "psis", tuple(_frozen(p) for p in self.psis))
 
     def expand(self, action_sizes, event_sizes) -> np.ndarray:
         _check_per_user("phis", self.phis, event_sizes)
@@ -308,7 +313,12 @@ PENALTY_KINDS = {cls.kind: cls for cls in get_args(PenaltyFn)}
 
 @dataclass(frozen=True, eq=False)
 class ProblemSpec:
-    """Immutable problem instance; validate with :func:`validate_spec`."""
+    """Immutable problem instance; validate with :func:`validate_spec`.
+
+    Every array it holds is a read-only copy made when its distribution or
+    penalty was built.  Specs compare by identity: two equal specs are two
+    instances, each with its own cached offline answers.
+    """
 
     action_sizes: tuple[int, ...]
     event_sizes: tuple[int, ...]

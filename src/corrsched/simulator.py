@@ -32,6 +32,7 @@ from typing import Sequence
 import numpy as np
 
 from .online import DppConfig, RollingEstimator, separable_components
+from .optimizer import offline_model, resolve_strategies  # noqa: F401  (resolve_strategies: kept importable here)
 from .problem import (
     EventDistribution,
     ProblemSpec,
@@ -39,16 +40,14 @@ from .problem import (
     flat_event_probabilities,
     joint_components,
     joint_strides,
-    penalty_tables,  # noqa: F401  (unused here; perfbench's span wrappers look it up)
     sample_event_indices,
     skip_event_draws,
 )
-from .strategy import (
-    enumerate_all,
-    enumerate_nondecreasing,
-    prune_applicable,
-    strategy_event_penalties,
-)
+from .strategy import strategy_event_penalties
+
+# unused here; perfbench's span wrappers look these names up in this module
+from .problem import penalty_tables  # noqa: F401
+from .strategy import enumerate_all, enumerate_nondecreasing, prune_applicable  # noqa: F401
 
 # Slots per kernel chunk.  The per-slot buffers hold one chunk (plus the
 # delay line), so this sets the kernel's memory, not its results.
@@ -121,17 +120,6 @@ class EnsembleMetrics:
     mean_qnorm: np.ndarray
     seeds: list[int]
     per_run: list[Metrics]
-
-
-def resolve_strategies(spec: ProblemSpec) -> np.ndarray:
-    """The strategy set a spec is solved and controlled over when none is given.
-
-    The non-decreasing (threshold) strategies when ``prune_applicable`` shows
-    they lose nothing, every strategy otherwise.
-    """
-    if prune_applicable(spec):
-        return enumerate_nondecreasing(spec)
-    return enumerate_all(spec)
 
 
 def check_phases(phases: Sequence[Phase], event_sizes: Sequence[int]) -> None:
@@ -222,16 +210,17 @@ def _controller(config: SimConfig, runs: int) -> _Controller:
         )
     event_pen = config.event_penalties
     if event_pen is None:
-        strategies = resolve_strategies(spec) if config.strategies is None else config.strategies
-        event_pen = strategy_event_penalties(spec, strategies)
+        if config.strategies is None:
+            event_pen = offline_model(spec).event_penalties
+        else:
+            event_pen = strategy_event_penalties(spec, config.strategies)
     ctl = _Controller(
         mode=dpp.mode, v=dpp.v, delay=dpp.delay, constraints=constraints, table=event_pen
     )
     if dpp.mode == "approx":
+        # pushes accumulate into each run's row of scored
         ctl.scored = np.zeros((runs,) + event_pen.shape[1:])
-        ctl.estimators = [RollingEstimator(event_pen, dpp.window) for _ in range(runs)]
-        for estimator, sums in zip(ctl.estimators, ctl.scored):
-            estimator.sums = sums  # pushes accumulate into the scored row
+        ctl.estimators = [RollingEstimator(event_pen, dpp.window, sums=sums) for sums in ctl.scored]
     return ctl
 
 

@@ -254,12 +254,16 @@ def test_compare_policies_prices_unpruned_set_once(seed):
     else:
         spec = random_spec(np.random.default_rng(seed), strategy_cap=64, anchor="pure")
     assert not cs.prune_applicable(spec)
-    assert len(cs.enumerate_all(spec)) <= analysis.PROBE_COMBO_CAP
+    strategies = cs.enumerate_all(spec)
+    assert len(strategies) <= analysis.PROBE_COMBO_CAP
     with mock.patch.object(analysis, "r_matrix", wraps=cs.r_matrix) as probe_r, \
             mock.patch.object(optimizer, "r_matrix", wraps=cs.r_matrix) as lp_r:
         report = cs.compare_policies(spec)
-    assert (probe_r.call_count, lp_r.call_count) == (1, 0)
-    assert report.distributed_opt == cs.solve_distributed_lp(spec, cs.enumerate_all(spec)).utility
+    # the spec's offline model prices the set for the LP, and the probe reuses it
+    assert (probe_r.call_count, lp_r.call_count) == (0, 1)
+    # an explicit r bypasses the model: a fresh solve of the same LP
+    fresh = cs.solve_distributed_lp(spec, strategies, r=cs.r_matrix(spec, strategies))
+    assert report.distributed_opt == fresh.utility
 
 
 def test_epsilon_max_two_sensor(two_sensor):

@@ -74,6 +74,32 @@ def test_ten_pairs_report_the_claim_rule(bench_pairs, monkeypatch, capsys):
     assert "change lower in 0/10 pairs; median gap -1 vs parent IQR 0; claim rule not met" in out
 
 
+def test_several_workloads_run_in_turn_with_a_block_each(bench_pairs, monkeypatch, capsys):
+    calls = []
+
+    def fake_run(checkout, workload, seed, seconds):
+        side = "change" if checkout == bench_pairs.ROOT else "parent"
+        calls.append((workload, side, seed))
+        ok = (workload, side) != ("a", "change")  # one workload failing stops no other
+        wall = {"a": 1.0, "b": 4.0}[workload] * (0.5 if side == "change" else 1.0)
+        return ok, {"wall_s": wall}, 3
+
+    monkeypatch.setattr(bench_pairs, "run_once", fake_run)
+    code = bench_pairs.main(["--base", "HEAD", "--workload", "a", "b", "--pairs", "2", "--seed", "5"])
+    assert code == 1
+    assert calls == [("a", "parent", 5), ("a", "change", 5), ("a", "change", 6), ("a", "parent", 6),
+                     ("b", "parent", 5), ("b", "change", 5), ("b", "change", 6), ("b", "parent", 6)]
+    out = capsys.readouterr().out
+    # each workload's summary block follows its own pairs, before the next workload starts
+    a_summary = out.index("a: parent HEAD -> working tree")
+    b_first = out.index("pair 0 seed 5 parent: ok iterations=3 wall_s=4")
+    b_summary = out.index("b: parent HEAD -> working tree")
+    assert a_summary < b_first < b_summary
+    assert "  wall_s: 1 [1, 1] -> 0.5 [0.5, 0.5]; change lower in 2/2 pairs" in out[a_summary:b_first]
+    assert "  wall_s: 4 [4, 4] -> 2 [2, 2]; change lower in 2/2 pairs" in out[b_summary:]
+    assert out.count("  iterations: 3 [3, 3] -> 3 [3, 3]") == 2
+
+
 @pytest.mark.parametrize(
     "wins,pairs,change_median,met",
     [

@@ -282,6 +282,91 @@ def test_cli_simulate_separable_mode(tmp_path, capsys, rng):
     assert digest == "4e30c8f975676ad2c7e5109afecdfc023c5c79289a0a10b36f204f68aff5c608"
 
 
+def _cli(capsys, argv) -> tuple[int, str, str]:
+    """Run the CLI; return its exit code, standard output and standard error."""
+    from corrsched.cli import main
+
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    out, err = capsys.readouterr()
+    return code, out, err
+
+
+def _sha(data) -> str:
+    return hashlib.sha256(data.encode() if isinstance(data, str) else data).hexdigest()
+
+
+def _analyze_argv(tmp_path, spec) -> list[str]:
+    """Simulate a stride-1 exact run of spec; return the analyze command for it."""
+    prefix = str(tmp_path / "run")
+    argv = ["simulate", "--spec", spec, "--v", "20", "--delay", "2", "--slots", "1500", "--seed", "4",
+            "--stride", "1", "--out", prefix]
+    from corrsched.cli import main
+
+    assert main(argv) == 0
+    return ["analyze", "--trace", f"{prefix}.trace.csv", "--spec", spec, "--config", f"{prefix}.metrics"]
+
+
+# SHA-256 of solve's policy file, compare's (code, stdout, stderr) and
+# analyze's stdout on each fixture, as written before the offline model
+CLI_SHA = {
+    "two_sensor": (
+        "f80a5c5a90b1eff476a6921ea239708b41533b859c416468c0d3d7377c95c641",
+        (0, "3197f9a6318cb50ac7e378f359ed89e1697bcf75d44d856d11685a6bda73dbe4", ""),
+        "db1653bb813def02a2edebec1628cfd74ef59a0598170ff00e517a9bc9f08ea6",
+    ),
+    "three_sensor": (
+        "2053d2df0d712756d6f587dd09d556f0aa89fb35c54dd06805534f0ab3f2c9e2",
+        (2, "", "9037fa975425427796837a22c18a19f7029be24385fe61c88e9b0c5dc752b2a1"),
+        "c52829a38a50dc40df6ac0c3341c3be3c05a8103b907ccea2f8ef10953900e9c",
+    ),
+    "counterexample": (
+        "6115434215ed1ab494c8807708d8751479c0746cd7edbac1ddeaee78b2df006e",
+        (0, "9bcf4d95e9d8aadd4cb9d372625876880defedf11b479b821ea6109bc036ecda", ""),
+        "457daa1476b0764e3445dfc3bcb96896c2d6f823c860c5e901e960a69eb651c4",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CLI_SHA))
+def test_cli_outputs_match_their_digests(tmp_path, capsys, name):
+    spec = str(FIXDIR / f"{name}.json")
+    policy_sha, compare_sha, analyze_sha = CLI_SHA[name]
+    policy = tmp_path / "policy.json"
+    assert _cli(capsys, ["solve", "--spec", spec, "--out", str(policy)])[0] == 0
+    assert _sha(policy.read_bytes()) == policy_sha
+    code, out, err = _cli(capsys, ["compare", "--spec", spec])
+    assert (code, out and _sha(out), err and _sha(err)) == compare_sha
+    analyze = _analyze_argv(tmp_path, spec)
+    capsys.readouterr()
+    code, out, _ = _cli(capsys, analyze)
+    assert code == 0 and _sha(out) == analyze_sha
+
+
+@pytest.mark.parametrize("name", ["two_sensor", "counterexample"])
+@pytest.mark.parametrize("command", ["solve", "analyze", "compare", "simulate"])
+def test_cli_command_builds_each_event_tensor_once(tmp_path, capsys, count_calls, name, command):
+    spec = str(FIXDIR / f"{name}.json")
+    if command == "analyze":
+        argv = _analyze_argv(tmp_path, spec)  # its simulate runs before the count starts
+    else:
+        argv = {
+            "solve": ["solve", "--spec", spec, "--out", str(tmp_path / "policy.json")],
+            "compare": ["compare", "--spec", spec],
+            "simulate": ["simulate", "--spec", spec, "--v", "20", "--slots", "50", "--seed", "4",
+                         "--out", str(tmp_path / "run")],
+        }[command]
+    calls = count_calls("strategy_event_penalties")
+    assert _cli(capsys, argv)[0] == 0
+    sets = [np.asarray(strategies).tobytes() for _, strategies, *_ in calls]
+    assert len(set(sets)) == len(sets)  # no strategy set's tensor is built twice
+    # the two-sensor spec is pruned while compare's probe grid is every
+    # strategy, so compare builds one tensor for each of the two sets
+    assert len(calls) == (2 if (name, command) == ("two_sensor", "compare") else 1)
+
+
 def test_read_trace_missing_file(tmp_path):
     with pytest.raises(OSError, match="nothere"):
         cs.read_trace(tmp_path / "nothere.csv")
@@ -338,6 +423,19 @@ def test_cli_malformed_nested_entry_is_one_line(tmp_path, capsys, field, damage)
             "--phases", paths["phases"], "--out", str(tmp_path / "run")]
     err = _cli_error(capsys, argv)
     assert f"ValueError: {paths[field]}: field {field!r}: " in err
+
+
+@pytest.mark.parametrize("key", ["start", "end", "distribution"])
+def test_cli_phase_entry_missing_key_names_the_entry(tmp_path, capsys, key):
+    # the error used to say only "missing key", not which phase lacks it
+    dist = {"product": [[0.5, 0.5], [0.5, 0.5]]}
+    entries = [{"start": 0, "end": 3, "distribution": dist}, {"start": 3, "end": 5, "distribution": dist}]
+    del entries[1][key]
+    phases = _spec_file(tmp_path, {"phases": entries}, name="phases.json")
+    argv = ["simulate", "--spec", str(FIXDIR / "two_sensor.json"), "--v", "1", "--slots", "5",
+            "--seed", "1", "--phases", phases, "--out", str(tmp_path / "run")]
+    err = _cli_error(capsys, argv)
+    assert f"ValueError: {phases}: field 'phases': phase 1: missing key {key!r}" in err
 
 
 @pytest.mark.parametrize(

@@ -1,8 +1,11 @@
+import dataclasses
+import weakref
+
 import numpy as np
 import pytest
 
 import corrsched as cs
-from corrsched import fixtures
+from corrsched import fixtures, strategy
 from corrsched.simplex import Infeasible
 
 import oracles
@@ -121,52 +124,6 @@ def test_independent_policy_rejects_unnormalized(two_sensor):
         oracles.evaluate_independent_policy(spec, bad)
 
 
-def test_sample_strategy_single_support(two_sensor):
-    spec, strategies = two_sensor
-    row = strategies[0]
-    policy = cs.CorrelatedPolicy(
-        support=[(row, 1.0)],
-        objective=0.0,
-        achieved_constraints=np.zeros(2),
-        support_indices=[0],
-    )
-    draws = cs.sample_strategies(policy, np.random.default_rng(1), 25)
-    assert draws.tolist() == [0] * 25
-    assert policy.support[draws[0]][0] is row
-
-
-def test_sample_strategy_frequencies(two_sensor):
-    spec, strategies = two_sensor
-    by_row = {tuple(s.tolist()): s for s in strategies}
-    # mixture weights published for this instance: 1/3, 5/9, 1/9
-    support = [
-        (by_row[(0, 1, 0, 0)], 1 / 3),
-        (by_row[(0, 0, 0, 1)], 5 / 9),
-        (by_row[(0, 1, 0, 1)], 1 / 9),
-    ]
-    policy = cs.CorrelatedPolicy(
-        support=support,
-        objective=-23 / 48,
-        achieved_constraints=np.array([1 / 3, 1 / 3]),
-        support_indices=[2, 1, 3],
-    )
-    gen = np.random.default_rng(7)
-    n = 10**6
-    counts = np.bincount(cs.sample_strategies(policy, gen, n), minlength=len(support))
-    for count, (strat, theta) in zip(counts, support):
-        sigma = np.sqrt(theta * (1 - theta) / n)
-        assert abs(count / n - theta) < 4 * sigma
-
-
-def test_sample_strategy_deterministic(two_sensor):
-    spec, strategies = two_sensor
-    policy = cs.solve_distributed_lp(spec, strategies)
-    a = cs.sample_strategies(policy, np.random.default_rng(3), 200)
-    b = cs.sample_strategies(policy, np.random.default_rng(3), 200)
-    assert np.array_equal(a, b)
-    assert len(set(a.tolist())) == len(policy.support)
-
-
 def test_oracle_two_sensor(two_sensor):
     spec, strategies = two_sensor
     assert cs.brute_force_distributed_oracle(spec, strategies) == pytest.approx(
@@ -224,3 +181,120 @@ def test_policy_class_ordering_two_sensor(two_sensor):
     assert centralized == pytest.approx(-0.5, abs=1e-9)
     assert distributed == pytest.approx(-23 / 48, abs=1e-9)
     assert independent == pytest.approx(-4 / 9, abs=1e-9)
+
+
+def _caller_set(spec):
+    """The resolved set as a caller builds it: an array of its own, equal to the model's."""
+    return cs.enumerate_nondecreasing(spec) if cs.prune_applicable(spec) else cs.enumerate_all(spec)
+
+
+@pytest.mark.parametrize("make", [fixtures.two_sensor_spec, fixtures.counterexample_spec])
+def test_one_spec_solves_its_two_lps_once(make, count_calls):
+    # four solves before the offline model: compare_policies solved both LPs again
+    spec = make()
+    lps = count_calls("solve_lp")
+    distributed = cs.solve_distributed_lp(spec, _caller_set(spec))
+    centralized = cs.solve_centralized_lp(spec)
+    report = cs.compare_policies(spec)
+    assert cs.solve_distributed_lp(spec, _caller_set(spec)).support is distributed.support
+    assert cs.solve_centralized_lp(spec).conditionals is centralized.conditionals
+    assert len(lps) == 2
+    assert (report.distributed_opt, report.centralized_opt) == (distributed.utility, centralized.utility)
+    # the cached answers are those of a fresh solve, bit for bit
+    strategies = _caller_set(spec)
+    fresh = cs.solve_distributed_lp(spec, strategies, r=cs.r_matrix(spec, strategies))
+    assert fresh.objective == distributed.objective
+    assert fresh.support_indices == distributed.support_indices
+    assert np.array_equal(fresh.achieved_constraints, distributed.achieved_constraints)
+
+
+def test_other_sets_and_given_r_are_solved_afresh(count_calls):
+    spec = fixtures.two_sensor_spec()
+    subset = fixtures.two_sensor_strategies(spec)  # 4 of the 9 resolved strategies
+    lps = count_calls("solve_lp")
+    first = cs.solve_distributed_lp(spec, subset)
+    assert cs.solve_distributed_lp(spec, subset).support is not first.support
+    resolved = cs.resolve_strategies(spec)
+    r = cs.r_matrix(spec, resolved)
+    again = cs.solve_distributed_lp(spec, resolved, r=r)
+    assert cs.solve_distributed_lp(spec, resolved, r=r).support is not again.support
+    assert len(lps) == 4
+    assert subset.flags.writeable  # a caller's set is never frozen
+
+
+def test_unbuildable_resolved_set_solves_directly(monkeypatch):
+    # past CHECK_CAP the prune test, and so the resolved set, cannot be built
+    spec = fixtures.two_sensor_spec()
+    strategies = cs.enumerate_all(spec)
+    monkeypatch.setattr(strategy, "CHECK_CAP", 0)
+    with pytest.raises(cs.CapExceeded):
+        cs.resolve_strategies(spec)
+    policy = cs.solve_distributed_lp(spec, strategies)
+    assert policy.utility == pytest.approx(23 / 48, abs=1e-9)
+    assert cs.solve_distributed_lp(spec, strategies).support is not policy.support
+
+
+def test_spec_arrays_are_read_only_copies():
+    marginal = np.array([0.25, 0.75])
+    values = np.zeros((4, 4))
+    spec = cs.ProblemSpec(
+        action_sizes=(2, 2),
+        event_sizes=(2, 2),
+        distribution=cs.ProductDistribution((marginal, np.array([0.5, 0.5]))),
+        penalties=(cs.FullTable(values), cs.PowerPerUser(0)),
+        constraints=(0.5,),
+    )
+    marginal[0], values[0, 0] = 0.5, 1.0  # the caller's arrays stay the caller's
+    assert spec.distribution.marginals[0][0] == 0.25 and spec.penalties[0].values[0, 0] == 0.0
+    for array in (spec.distribution.marginals[1], spec.penalties[0].values):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 1.0
+    joint = cs.JointDistribution(np.full((2, 2), 0.25))
+    two = fixtures.two_sensor_spec()
+    for array in (joint.table, two.penalties[0].weights[0]):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 1.0
+
+
+def test_cached_answers_are_immutable():
+    spec = fixtures.two_sensor_spec()
+    model = cs.offline_model(spec)
+    policy, centralized = model.correlated, model.centralized
+    arrays = [model.strategies, model.event_penalties, model.r, policy.achieved_constraints,
+              centralized.conditionals, centralized.achieved_constraints]
+    arrays += [row for row, _ in policy.support]
+    for array in arrays:
+        with pytest.raises(ValueError, match="read-only"):
+            array.flat[0] = 7
+    # a caller gets a copy of each cached policy: reassigning its fields changes no other copy
+    objectives = (policy.objective, centralized.objective)
+    policy.objective, centralized.objective = 1.0, 1.0
+    assert (model.correlated.objective, model.centralized.objective) == objectives
+    assert cs.solve_distributed_lp(spec, model.strategies).objective == objectives[0]
+
+
+def test_equal_specs_get_their_own_answers():
+    a, b = fixtures.two_sensor_spec(), fixtures.two_sensor_spec()
+    assert cs.offline_model(a) is not cs.offline_model(b)
+    assert cs.solve_centralized_lp(a).conditionals is not cs.solve_centralized_lp(b).conditionals
+    assert cs.solve_centralized_lp(a).objective == cs.solve_centralized_lp(b).objective
+    looser = dataclasses.replace(a, constraints=(1.0, 1.0))
+    assert cs.solve_centralized_lp(looser).utility > cs.solve_centralized_lp(a).utility
+
+
+def test_model_is_freed_with_its_spec():
+    spec = fixtures.two_sensor_spec()
+    model = cs.offline_model(spec)
+    policy = weakref.ref(model._correlated)
+    tensor = weakref.ref(model.event_penalties)
+    model_ref = weakref.ref(model)
+    del model
+    assert model_ref() is not None  # the spec keeps it
+    del spec  # no cycle: reference counting alone frees them
+    assert model_ref() is None and policy() is None and tensor() is None
+
+
+def test_model_outliving_its_spec_is_an_error():
+    model = cs.offline_model(fixtures.two_sensor_spec())
+    with pytest.raises(ReferenceError):
+        model.strategies

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import corrsched as cs
-from corrsched import simplex
+from corrsched import fixtures, simplex
 from corrsched.simplex import IterationLimit, LpProblem, LpStatus, solve_lp
 
 
@@ -216,11 +216,13 @@ def test_complementary_slackness(two_sensor, rng):
 
 
 @pytest.mark.parametrize("limit,phase", [(0, 1), (1, 1), (2, 2), (3, 2)])
-def test_iteration_limit_is_typed(two_sensor, limit, phase):
+def test_iteration_limit_is_typed(limit, phase):
     # the two-sensor LP needs an artificial for its equality row, so phase 1
     # runs first: it takes one pivot, phase 2 three, and each phase spends one
-    # more loop pass finding that it is optimal; a limit of 4 solves it
-    spec, strategies = two_sensor
+    # more loop pass finding that it is optimal; a limit of 4 solves it.  A
+    # spec of its own: no cached answer may stand in for the patched solve.
+    spec = fixtures.two_sensor_spec()
+    strategies = fixtures.two_sensor_strategies(spec)
     with mock.patch.object(simplex, "_iteration_limit", lambda m, n: limit):
         with pytest.raises(IterationLimit) as info:
             cs.solve_distributed_lp(spec, strategies)

@@ -1,5 +1,4 @@
 import hashlib
-import sys
 
 import numpy as np
 import pytest
@@ -160,19 +159,10 @@ def test_dpp_config_rejects_a_separable_mode_and_a_stray_window(config):
         cs.DppConfig(v=1.0, **config)
 
 
-def test_per_user_run_expands_the_penalties_once(monkeypatch):
+def test_per_user_run_expands_the_penalties_once(count_calls):
     # the split test's tables serve the per-user rule too, instead of a second expansion
     spec = random_separable_spec(np.random.default_rng(5))
-    calls = []
-    for name, module in list(sys.modules.items()):
-        if name.startswith("corrsched") and hasattr(module, "penalty_tables"):
-            original = module.penalty_tables
-
-            def counted(spec, original=original):
-                calls.append(spec)
-                return original(spec)
-
-            monkeypatch.setattr(module, "penalty_tables", counted)
+    calls = count_calls("penalty_tables")
     _, trace = cs.run_episode(_cfg(spec, None, horizon=10))
     assert np.all(trace.strategy == -1)  # the per-user rule ran
     assert len(calls) == 1
