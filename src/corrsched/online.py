@@ -12,8 +12,8 @@ strategy enumeration.
 
 The queue update and the selection rules themselves run in the simulator's
 kernel, over chunks of slots and many runs at once.  This module holds what
-the kernel needs besides: the controller parameters, the window estimator,
-the per-user split, and the bound constants.
+the kernel needs besides: the controller parameters, the one window of
+delayed samples for all runs, the per-user split, and the bound constants.
 """
 
 from __future__ import annotations
@@ -59,36 +59,38 @@ class DppConfig:
 
 
 class RollingEstimator:
-    """Moving-window averages of per-strategy penalties from delayed samples.
+    """Moving-window sums of per-strategy penalties from delayed samples, for R runs at once.
 
-    Keeps the last W delayed event samples and ``sums``, the running sum of
-    their penalty rows over ``count`` samples, so the estimate for each
-    strategy and penalty is ``sums / count``.  The kernel scores strategies
-    with ``sums`` itself: dividing by the count does not move the argmin.
-    ``push`` updates ``sums`` in place.  It starts as fresh zeros, or as the
-    zero (M, K+1) array passed as ``sums``, such as a row of a larger array:
-    the simulator scores every run's window with one stacked product that
-    way.
+    A (W, R) ring keeps every run's last W delayed event samples, with one
+    fill ``count`` and one position.  ``sums[j]``, of shape (M, K+1), adds up
+    run j's last ``count`` penalty rows, so ``sums[j] / count`` estimates
+    them; the kernel scores with ``sums`` itself, as dividing by the count
+    does not move the argmin.  ``push(events)`` adds one slot's samples,
+    ``events[j]`` being run j's event index, and updates ``sums`` in place.
     """
 
-    def __init__(self, event_penalties: np.ndarray, window: int, sums: np.ndarray | None = None):
+    def __init__(self, event_penalties: np.ndarray, window: int, runs: int = 1):
         if window < 1:
             raise ValueError("window must be >= 1")
         self.event_penalties = event_penalties  # (n_events, M, K+1)
         self.window = window
-        self.samples = np.zeros(window, dtype=np.int64)
         self.count = 0
+        self.sums = np.zeros((runs,) + event_penalties.shape[1:])
+        self._rows = list(self.sums)  # one view per run
+        self._ring = [None] * window  # a list of R event indices per slot
         self._pos = 0
-        self.sums = np.zeros(event_penalties.shape[1:]) if sums is None else sums
 
-    def push(self, event_index: int) -> None:
+    def push(self, events: np.ndarray) -> None:
+        table, pos = self.event_penalties, self._pos
         if self.count == self.window:
-            self.sums -= self.event_penalties[self.samples[self._pos]]
+            for row, old in zip(self._rows, self._ring[pos]):
+                row -= table[old]
         else:
             self.count += 1
-        self.samples[self._pos] = event_index
-        self._pos = (self._pos + 1) % self.window
-        self.sums += self.event_penalties[event_index]
+        self._ring[pos] = events = events.tolist()
+        self._pos = (pos + 1) % self.window
+        for row, event in zip(self._rows, events, strict=True):
+            row += table[event]
 
 
 # ---------------------------------------------------------------------------

@@ -169,7 +169,8 @@ class _Controller:
     columns are strategies in exact and approx mode and joint actions under
     the per-user rule, whose ``mode`` is "separable".  In exact and approx
     mode each run takes the column minimising ``S . (V, Q)`` for its matrix
-    S in ``scored``; the modes differ only in that matrix.
+    S in ``scored``; the modes differ only in that matrix, which approx mode
+    takes from ``window``, one window for all runs.
     """
 
     mode: str
@@ -177,9 +178,9 @@ class _Controller:
     delay: int
     constraints: np.ndarray
     table: np.ndarray
-    # (1 or runs, M, K+1): exact, the phase's expected penalties r[None]; approx, window sums
+    # (1 or runs, M, K+1): exact, the phase's expected penalties r[None]; approx, window.sums
     scored: np.ndarray | None = None
-    estimators: list[RollingEstimator] | None = None  # approx: one per run, on rows of scored
+    window: RollingEstimator | None = None  # approx only
     # separable: (action stride, components (n_events, |A_i|, K+1) by joint event) per user
     per_user: list[tuple[np.int64, np.ndarray]] | None = None
 
@@ -214,14 +215,11 @@ def _controller(config: SimConfig, runs: int) -> _Controller:
             event_pen = offline_model(spec).event_penalties
         else:
             event_pen = strategy_event_penalties(spec, config.strategies)
-    ctl = _Controller(
-        mode=dpp.mode, v=dpp.v, delay=dpp.delay, constraints=constraints, table=event_pen
+    window = RollingEstimator(event_pen, dpp.window, runs) if dpp.mode == "approx" else None
+    return _Controller(
+        mode=dpp.mode, v=dpp.v, delay=dpp.delay, constraints=constraints, table=event_pen,
+        scored=None if window is None else window.sums, window=window,
     )
-    if dpp.mode == "approx":
-        # pushes accumulate into each run's row of scored
-        ctl.scored = np.zeros((runs,) + event_pen.shape[1:])
-        ctl.estimators = [RollingEstimator(event_pen, dpp.window, sums=sums) for sums in ctl.scored]
-    return ctl
 
 
 def _step_single(ctl: _Controller, t0: int, n: int, ev, pen, qa, ms) -> None:
@@ -233,6 +231,10 @@ def _step_single(ctl: _Controller, t0: int, n: int, ev, pen, qa, ms) -> None:
     form's gathers; the arithmetic is the same.
     """
     d = ctl.delay
+    if ctl.window is None:
+        first_push = n  # no window to feed
+    else:  # ev row i is revealed at slot t0 + i, and slot d is the first revealed
+        push, first_push, revealed = ctl.window.push, d - t0, ev
     ev, pen, qa, ms = ev[:, 0], pen[:, :, 0], qa[:, :, 0], ms[:, 0]
     delayed = pen[:, 1:]  # row i: slot t0 + i - d, zeros before slot 0
     w = np.concatenate(([ctl.v], qa[0]))
@@ -242,15 +244,11 @@ def _step_single(ctl: _Controller, t0: int, n: int, ev, pen, qa, ms) -> None:
     per_user = ctl.per_user
     if per_user is None:
         score = ctl.scored[0].dot
-    if ctl.estimators is None:
-        first_push = n  # no window to feed
-    else:
-        push, first_push = ctl.estimators[0].push, d - t0  # slot d is the first revealed
     for i in range(n):
         wf = ev[d + i]
         if per_user is None:
             if i >= first_push:
-                push(ev[i])
+                push(revealed[i])
             col = m = score(w).argmin()
         else:
             col, m = 0, -1
@@ -294,12 +292,11 @@ def _step_batched(ctl: _Controller, t0: int, n: int, ev, pen, qa, ms) -> None:
         w_stack = w[:, :, None]
         scores = np.empty((runs, n_cols, 1))
         scores_2d = scores[:, :, 0]
-    first_push = n if ctl.estimators is None else d - t0  # as in _step_single
+    first_push = n if ctl.window is None else d - t0  # as in _step_single
     for i in range(n):
         if per_user is None:
             if i >= first_push:
-                for estimator, event in zip(ctl.estimators, ev[i]):
-                    estimator.push(event)
+                ctl.window.push(ev[i])
             np.matmul(scored, w_stack, out=scores)
             scores_2d.argmin(axis=1, out=cols)
             ms[i] = cols

@@ -44,7 +44,7 @@ def test_rolling_estimator_repeated_sample(two_sensor):
     pen = strategy_event_penalties(spec, strategies)
     est = cs.RollingEstimator(pen, window=5)
     for _ in range(9):
-        est.push(3)
+        est.push(np.array([3]))
     assert np.array_equal(oracles.window_estimate(est), pen[3])
 
 
@@ -53,7 +53,7 @@ def test_rolling_estimator_window_one(two_sensor):
     pen = strategy_event_penalties(spec, strategies)
     est = cs.RollingEstimator(pen, window=1)
     for wf in (0, 3, 1):
-        est.push(wf)
+        est.push(np.array([wf]))
         assert np.array_equal(oracles.window_estimate(est), pen[wf])
 
 
@@ -63,7 +63,7 @@ def test_rolling_estimator_matches_recomputed_mean(two_sensor, rng):
     est = cs.RollingEstimator(pen, window=17)
     stream = rng.integers(0, spec.n_events, 100)
     for i, wf in enumerate(stream):
-        est.push(int(wf))
+        est.push(stream[i : i + 1])
         lo = max(0, i - 16)
         expect = pen[stream[lo : i + 1]].mean(axis=0)
         assert np.max(np.abs(oracles.window_estimate(est) - expect)) < 1e-12
@@ -74,12 +74,35 @@ def test_approx_update_and_select_empty_then_filled(two_sensor):
     pen = strategy_event_penalties(spec, strategies)
     est = cs.RollingEstimator(pen, window=4)
     assert oracles.window_select(est, np.zeros(2), 1.0) == 0  # no samples yet: tie-break
-    est.push(3)
+    est.push(np.array([3]))
     m = oracles.window_select(est, np.zeros(2), 1.0)
     r = cs.r_matrix(spec, strategies)
     # a single buffered sample is an exact one-sample average
     scores = pen[3] @ np.array([1.0, 0.0, 0.0])
     assert m == int(np.argmin(scores))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 10**6),
+    window=st.integers(1, 20),
+    runs=st.integers(1, 5),
+    slots=st.integers(0, 60),
+)
+def test_window_of_many_runs_equals_one_window_per_run(seed, window, runs, slots):
+    gen = np.random.default_rng(seed)
+    n_events, m, k = (int(gen.integers(1, hi)) for hi in (9, 12, 5))
+    pen = gen.uniform(-1, 1, (n_events, m, k)) * 10.0 ** gen.integers(-3, 4, (n_events, m, k))
+    streams = gen.integers(0, n_events, (slots, runs))
+    many = cs.RollingEstimator(pen, window, runs)
+    for events in streams:
+        many.push(events)
+    for j in range(runs):
+        one = cs.RollingEstimator(pen, window)
+        for events in streams[:, j : j + 1]:
+            one.push(events)
+        assert many.count == one.count == min(slots, window)
+        assert many.sums[j].tobytes() == one.sums[0].tobytes()
 
 
 def test_separable_components_power_only():

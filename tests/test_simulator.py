@@ -111,9 +111,26 @@ def test_approx_mode_selection_replays_with_estimator(two_sensor):
     est = cs.RollingEstimator(pen, window)
     for t in range(300):
         if t >= delay:
-            est.push(int(omega[t - delay]))
+            est.push(omega[t - delay : t - delay + 1])
         m = oracles.window_select(est, trace.q[t], v)
         assert m == trace.strategy[t]
+
+
+def test_approx_ensemble_pushes_every_run_at_once(two_sensor, monkeypatch):
+    spec, strategies = two_sensor
+    calls = []
+    push = cs.RollingEstimator.push
+
+    def counted(self, events):
+        calls.append(len(events))
+        push(self, events)
+
+    monkeypatch.setattr(cs.RollingEstimator, "push", counted)
+    horizon, delay = cs.simulator.CHUNK_SLOTS + 300, 7  # two chunks
+    cfg = _cfg(spec, strategies, mode="approx", window=9, delay=delay, horizon=horizon, runs=5)
+    cs.run_ensemble(cfg)
+    # one push per revealed slot, each with all five runs' events
+    assert calls == [5] * (horizon - delay)
 
 
 def test_separable_run_matches_exact_run(rng):
