@@ -11,13 +11,19 @@ first when j is even and the change first when j is odd.  Every run's
 iteration count and metrics are printed as it ends; after a workload's last
 pair comes its summary block: the median [quartiles] of both sides'
 iteration counts and, for each end-to-end metric, of its values, the number
-of pairs in which the change read lower, and whether a gain in it may be
-claimed.  The claim rule: at least MIN_PAIRS
+of pairs in which the change read lower, whether a gain in it may be
+claimed, and its no-regression verdict.  The claim rule: at least MIN_PAIRS
 pairs, the change lower in at least nine tenths of them (ties count for
 neither side), and the parent's median above the change's by more than the
-parent's interquartile range.  Printing the iteration counts shows when a
-metric such as ``setup_s`` moved with the number of iterations that fit into
-a run.  The exit code is 1 when any run of any workload failed a check.
+parent's interquartile range.  The no-regression verdict, for each metric
+with a ``bound`` among the ``end_to_end`` entries of BENCHMARK.json:
+"unresolved" when the parent's interquartile range exceeds bound times its
+median, unless every change run read below every parent run; otherwise
+"within bound" when the change's median is at most the parent's times
+(1 + bound), and "worse past bound" when it is higher.  Printing the
+iteration counts shows when a metric such as ``setup_s`` moved with the
+number of iterations that fit into a run.  The exit code is 1 when any run
+of any workload failed a check.
 
 Only one copy runs at a time on a host: the script holds an exclusive
 ``fcntl`` lock on a file in the temporary directory, because two copies
@@ -73,8 +79,15 @@ def run_once(
     return proc.returncode == 0 and bool(result.get("correct")), metrics, iterations
 
 
+def bounds() -> dict[str, float]:
+    """Each end-to-end metric's regression bound, as a fraction, from BENCHMARK.json."""
+    with open(ROOT / "BENCHMARK.json") as fh:
+        return {m["name"]: float(m["bound"]) for m in json.load(fh)["end_to_end"] if "bound" in m}
+
+
 def summarize(parent: list[dict], change: list[dict]) -> list[tuple]:
-    """Per metric over complete pairs: (name, parent and change quartiles, change wins, pairs)."""
+    """Per metric over complete pairs: (name, parent and change quartiles, change wins, pairs,
+    whether every change run read below every parent run)."""
     pairs = [(p, c) for p, c in zip(parent, change) if p and c]
     rows = []
     for name in pairs[0][0] if pairs else ():
@@ -86,6 +99,7 @@ def summarize(parent: list[dict], change: list[dict]) -> list[tuple]:
             np.percentile(b, [25, 50, 75]),
             int(np.sum(b < a)),
             len(pairs),
+            bool(b.max() < a.min()),
         ))
     return rows
 
@@ -94,6 +108,13 @@ def claim_rule_met(parent_q, change_q, wins: int, pairs: int) -> bool:
     """Whether the change may claim a lower metric, from quartiles (25, 50, 75) of both sides."""
     spread = parent_q[2] - parent_q[0]
     return bool(pairs >= MIN_PAIRS and 10 * wins >= 9 * pairs and parent_q[1] - change_q[1] > spread)
+
+
+def regression_verdict(parent_q, change_q, bound: float, all_below: bool) -> str:
+    """No-regression verdict on a lower-is-better metric, from quartiles (25, 50, 75) of both sides."""
+    if parent_q[2] - parent_q[0] > bound * parent_q[1] and not all_below:
+        return "unresolved"
+    return "within bound" if change_q[1] <= parent_q[1] * (1 + bound) else "worse past bound"
 
 
 def median_quartiles(q) -> str:
@@ -124,12 +145,17 @@ def run_pairs(workload: str, base: str, checkouts: dict[str, Path], args) -> int
         for side in ("parent", "change")
     ]
     print(f"  iterations: {counts[0]} -> {counts[1]}")
-    for name, a, b, wins, n in summarize(runs["parent"], runs["change"]):
+    limits = bounds()
+    for name, a, b, wins, n, all_below in summarize(runs["parent"], runs["change"]):
         verdict = "met" if claim_rule_met(a, b, wins, n) else "not met"
+        regression = ""
+        if name in limits:
+            bound = limits[name]
+            regression = f"; bound {bound:.0%}: {regression_verdict(a, b, bound, all_below)}"
         print(f"  {name}: {median_quartiles(a)} -> {median_quartiles(b)}; "
               f"change lower in {wins}/{n} pairs; "
-              f"median gap {a[1] - b[1]:.6g} vs parent IQR {a[2] - a[0]:.6g}; claim rule {verdict}",
-              flush=True)
+              f"median gap {a[1] - b[1]:.6g} vs parent IQR {a[2] - a[0]:.6g}; claim rule {verdict}"
+              f"{regression}", flush=True)
     if failed:
         print(f"{workload}: {failed} run(s) failed a check", file=sys.stderr)
     return failed

@@ -46,8 +46,8 @@ class DppConfig:
     window: int | None = None
 
     def __post_init__(self):
-        if self.v < 0:
-            raise ValueError("V must be non-negative")
+        if not (math.isfinite(self.v) and self.v >= 0):
+            raise ValueError(f"V must be finite and non-negative, got {self.v}")
         if self.delay < 0:
             raise ValueError("delay must be non-negative")
         if self.mode not in MODES:

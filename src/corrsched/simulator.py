@@ -215,7 +215,10 @@ def _controller(config: SimConfig, runs: int) -> _Controller:
             event_pen = offline_model(spec).event_penalties
         else:
             event_pen = strategy_event_penalties(spec, config.strategies)
-    window = RollingEstimator(event_pen, dpp.window, runs) if dpp.mode == "approx" else None
+    # a window never holds more than horizon samples
+    window = None
+    if dpp.mode == "approx":
+        window = RollingEstimator(event_pen, min(dpp.window, config.horizon), runs)
     return _Controller(
         mode=dpp.mode, v=dpp.v, delay=dpp.delay, constraints=constraints, table=event_pen,
         scored=None if window is None else window.sums, window=window,
@@ -545,9 +548,12 @@ def read_trace(path) -> Trace:
     try:
         with open(path) as fh:
             header = fh.readline().strip().split(",")
-            data = np.loadtxt(fh, delimiter=",", ndmin=2)
+            rows = fh.readlines()
     except OSError as exc:
         raise OSError(f"cannot read trace from {path}: {exc}") from exc
+    if not any(row.strip() for row in rows):
+        raise ValueError(f"trace {path} has no rows")
+    data = np.loadtxt(rows, delimiter=",", ndmin=2)
     n_cols = len(header)
     n_k = (n_cols - 4) // 3
     if n_cols != 4 + 3 * n_k:

@@ -1,5 +1,6 @@
 import fcntl
 import importlib.util
+import json
 import subprocess
 from pathlib import Path
 
@@ -22,18 +23,22 @@ def bench_pairs(tmp_path, monkeypatch):
 def test_summarize_quartiles_and_wins(bench_pairs):
     parent = [{"wall_s": v} for v in (1.0, 2.0, 3.0, 4.0, 5.0)]
     change = [{"wall_s": v} for v in (0.5, 2.5, 2.0, 4.0, 1.0)]
-    [(name, a, b, wins, n)] = bench_pairs.summarize(parent, change)
+    [(name, a, b, wins, n, all_below)] = bench_pairs.summarize(parent, change)
     assert name == "wall_s" and n == 5
     assert np.array_equal(a, [2.0, 3.0, 4.0])
     assert np.array_equal(b, [1.0, 2.0, 2.5])
     assert wins == 3  # ties count for neither side
+    assert not all_below  # the change's 4.0 is not below the parent's 1.0
+    [(*_, all_below)] = bench_pairs.summarize(parent, [{"wall_s": 0.9}] * 5)
+    assert all_below
 
 
 def test_summarize_skips_pairs_with_a_failed_run(bench_pairs):
     parent = [{"wall_s": 1.0}, {}, {"wall_s": 3.0}]
     change = [{"wall_s": 2.0}, {"wall_s": 0.1}, {"wall_s": 1.0}]
-    [(_, a, _, wins, n)] = bench_pairs.summarize(parent, change)
+    [(_, a, _, wins, n, all_below)] = bench_pairs.summarize(parent, change)
     assert n == 2 and wins == 1 and a[1] == 2.0
+    assert not all_below  # the failed pair's 0.1 takes no part
 
 
 def test_pairs_alternate_and_a_failed_check_exits_1(bench_pairs, monkeypatch, capsys):
@@ -70,8 +75,11 @@ def test_ten_pairs_report_the_claim_rule(bench_pairs, monkeypatch, capsys):
     assert bench_pairs.main(["--base", "HEAD", "--workload", "w", "--seed", "1"]) == 0
     out = capsys.readouterr().out
     assert "  iterations: 10 [10, 10] -> 20 [20, 20]" in out
-    assert "change lower in 10/10 pairs; median gap 0.95 vs parent IQR 0.45; claim rule met" in out
-    assert "change lower in 0/10 pairs; median gap -1 vs parent IQR 0; claim rule not met" in out
+    # the parent's set-up IQR exceeds 25% of its median, but every change run reads below
+    assert ("change lower in 10/10 pairs; median gap 0.95 vs parent IQR 0.45; claim rule met; "
+            "bound 25%: within bound") in out
+    assert ("change lower in 0/10 pairs; median gap -1 vs parent IQR 0; claim rule not met; "
+            "bound 25%: worse past bound") in out
 
 
 def test_several_workloads_run_in_turn_with_a_block_each(bench_pairs, monkeypatch, capsys):
@@ -117,6 +125,29 @@ def test_claim_rule(bench_pairs, wins, pairs, change_median, met):
     parent = np.array([0.75, 1.0, 1.25])  # IQR 0.5
     change = np.array([change_median - 0.125, change_median, change_median + 0.125])
     assert bench_pairs.claim_rule_met(parent, change, wins, pairs) is met
+
+
+@pytest.mark.parametrize(
+    "parent,change_median,all_below,verdict",
+    [
+        ((0.875, 1.0, 1.125), 1.25, False, "within bound"),  # exactly parent x (1 + bound)
+        ((0.875, 1.0, 1.125), 1.26, False, "worse past bound"),
+        ((0.875, 1.0, 1.125), 0.5, False, "within bound"),  # the IQR equals bound x median
+        ((0.75, 1.0, 1.125), 1.0, False, "unresolved"),
+        ((0.75, 1.0, 1.125), 0.5, False, "unresolved"),  # lower, but within the parent's spread
+        ((0.75, 1.0, 1.125), 0.5, True, "within bound"),  # every change run below every parent run
+        ((0.75, 1.0, 1.125), 2.0, False, "unresolved"),
+    ],
+)
+def test_regression_verdict(bench_pairs, parent, change_median, all_below, verdict):
+    change = (change_median - 0.01, change_median, change_median + 0.01)
+    assert bench_pairs.regression_verdict(parent, change, 0.25, all_below) == verdict
+
+
+def test_bounds_are_the_benchmark_end_to_end_bounds(bench_pairs):
+    declared = json.loads((bench_pairs.ROOT / "BENCHMARK.json").read_text())["end_to_end"]
+    assert bench_pairs.bounds() == {m["name"]: m["bound"] for m in declared}
+    assert bench_pairs.bounds()["wall_s"] == 0.25
 
 
 def test_run_once_reads_the_iteration_count(bench_pairs, monkeypatch):

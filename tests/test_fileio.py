@@ -2,6 +2,7 @@ import dataclasses
 import hashlib
 import json
 import typing
+import warnings
 from pathlib import Path
 from unittest import mock
 
@@ -372,6 +373,25 @@ def test_read_trace_missing_file(tmp_path):
         cs.read_trace(tmp_path / "nothere.csv")
 
 
+def test_read_trace_without_rows(tmp_path):
+    path = tmp_path / "empty.csv"
+    path.write_text("t,strategy,u,p_1,Q_1,ubar,pbar_1\n")
+    with pytest.raises(ValueError, match=f"trace {path} has no rows"):
+        cs.read_trace(path)
+
+
+def test_cli_trace_without_rows_is_one_line(tmp_path, capsys):
+    # a header-only trace used to warn "input contained no data", then end in an IndexError
+    argv = _analyze_argv(tmp_path, str(FIXDIR / "two_sensor.json"))
+    capsys.readouterr()
+    trace = tmp_path / "run.trace.csv"
+    trace.write_text(trace.read_text().splitlines()[0] + "\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a warning would print to stderr beside the error line
+        err = _cli_error(capsys, argv)
+    assert f"ValueError: trace {trace} has no rows" in err
+
+
 def _cli_error(capsys, argv) -> str:
     """Run the CLI expecting an input error; return its single stderr line."""
     from corrsched.cli import main
@@ -522,6 +542,43 @@ def test_cli_window_without_approx_mode_is_one_line(tmp_path, capsys):
     err = _cli_error(capsys, argv)
     assert "ValueError: a window applies only to approx mode, not 'exact'" in err
     assert not (tmp_path / "run.metrics").exists()
+
+
+@pytest.mark.parametrize("v", ["nan", "inf"])
+def test_cli_non_finite_v_is_one_line(tmp_path, capsys, v):
+    # a NaN or infinite V used to run, print a utility and exit 0
+    argv = ["simulate", "--spec", str(FIXDIR / "two_sensor.json"), "--v", v, "--slots", "5",
+            "--seed", "1", "--out", str(tmp_path / "run")]
+    err = _cli_error(capsys, argv)
+    assert f"ValueError: V must be finite and non-negative, got {v}" in err
+    assert not list(tmp_path.iterdir())
+
+
+def test_cli_run_config_non_finite_v_is_one_line(tmp_path, capsys):
+    # Python's json reads NaN; analyze used to report a "VIOLATED (worst margin nan)" bound
+    argv = _analyze_argv(tmp_path, str(FIXDIR / "two_sensor.json"))
+    capsys.readouterr()
+    (tmp_path / "run.metrics").write_text('{"v": NaN, "delay": 2}')
+    err = _cli_error(capsys, argv)
+    assert "ValueError: V must be finite and non-negative, got nan" in err
+
+
+@pytest.mark.parametrize("runs", ["1", "3"])
+def test_cli_window_past_the_horizon_runs_as_the_horizon(tmp_path, capsys, monkeypatch, runs):
+    # a window of 10**12 used to allocate its whole ring and fail with a numpy memory error
+    outputs = {}
+    for window in ("200", "1000000000000"):
+        (tmp_path / window).mkdir()
+        monkeypatch.chdir(tmp_path / window)
+        argv = ["simulate", "--spec", str(FIXDIR / "two_sensor.json"), "--v", "20", "--delay", "3",
+                "--slots", "200", "--seed", "4", "--mode", "approx", "--window", window,
+                "--runs", runs, "--out", "run"]
+        code, out, err = _cli(capsys, argv)
+        metrics = json.loads(Path("run.metrics").read_text())
+        assert metrics["config"].pop("window") == int(window)
+        outputs[window] = (code, out, err, metrics, Path("run.trace.csv").read_bytes())
+    assert outputs["200"][0] == 0
+    assert outputs["1000000000000"] == outputs["200"]
 
 
 @pytest.mark.parametrize("flag,value", [("--runs", "0"), ("--runs", "-2"), ("--stride", "0")])
