@@ -82,15 +82,17 @@ class RollingEstimator:
 
     def push(self, events: np.ndarray) -> None:
         table, pos = self.event_penalties, self._pos
+        events = events.tolist()
         if self.count == self.window:
-            for row, old in zip(self._rows, self._ring[pos]):
+            for row, old, event in zip(self._rows, self._ring[pos], events, strict=True):
                 row -= table[old]
+                row += table[event]
         else:
             self.count += 1
-        self._ring[pos] = events = events.tolist()
+            for row, event in zip(self._rows, events, strict=True):
+                row += table[event]
+        self._ring[pos] = events
         self._pos = (pos + 1) % self.window
-        for row, event in zip(self._rows, events, strict=True):
-            row += table[event]
 
 
 # ---------------------------------------------------------------------------

@@ -234,10 +234,8 @@ def _step_single(ctl: _Controller, t0: int, n: int, ev, pen, qa, ms) -> None:
     form's gathers; the arithmetic is the same.
     """
     d = ctl.delay
-    if ctl.window is None:
-        first_push = n  # no window to feed
-    else:  # ev row i is revealed at slot t0 + i, and slot d is the first revealed
-        push, first_push, revealed = ctl.window.push, d - t0, ev
+    window, revealed = ctl.window, ev  # ev row i is revealed at slot t0 + i
+    first_push = n if window is None else d - t0  # slot d is the first revealed
     ev, pen, qa, ms = ev[:, 0], pen[:, :, 0], qa[:, :, 0], ms[:, 0]
     delayed = pen[:, 1:]  # row i: slot t0 + i - d, zeros before slot 0
     w = np.concatenate(([ctl.v], qa[0]))
@@ -251,7 +249,7 @@ def _step_single(ctl: _Controller, t0: int, n: int, ev, pen, qa, ms) -> None:
         wf = ev[d + i]
         if per_user is None:
             if i >= first_push:
-                push(revealed[i])
+                window.push(revealed[i])
             col = m = score(w).argmin()
         else:
             col, m = 0, -1
