@@ -16,7 +16,7 @@ claimed, and its no-regression verdict.  The claim rule: at least MIN_PAIRS
 pairs, the change lower in at least nine tenths of them (ties count for
 neither side), and the parent's median above the change's by more than the
 parent's interquartile range.  The no-regression verdict, for each metric
-with a ``bound`` among the ``end_to_end`` entries of BENCHMARK.json:
+with a ``bound`` in the ``end_to_end`` entries of BENCHMARK.json:
 "unresolved" when the parent's interquartile range exceeds bound times its
 median, unless every change run read below every parent run; otherwise
 "within bound" when the change's median is at most the parent's times
@@ -82,7 +82,7 @@ def run_once(
 def bounds() -> dict[str, float]:
     """Each end-to-end metric's regression bound, as a fraction, from BENCHMARK.json."""
     with open(ROOT / "BENCHMARK.json") as fh:
-        return {m["name"]: float(m["bound"]) for m in json.load(fh)["end_to_end"] if "bound" in m}
+        return {m["name"]: float(m["bound"]) for m in json.load(fh)["end_to_end"]}
 
 
 def summarize(parent: list[dict], change: list[dict]) -> list[tuple]:

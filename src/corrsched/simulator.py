@@ -26,6 +26,7 @@ identity of the update rule, so anything above rounding noise is a bug).
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -215,9 +216,8 @@ def _controller(config: SimConfig, runs: int) -> _Controller:
             event_pen = offline_model(spec).event_penalties
         else:
             event_pen = strategy_event_penalties(spec, config.strategies)
-    # a window never holds more than horizon samples
     window = None
-    if dpp.mode == "approx":
+    if dpp.mode == "approx":  # a window never holds more than horizon samples
         window = RollingEstimator(event_pen, min(dpp.window, config.horizon), runs)
     return _Controller(
         mode=dpp.mode, v=dpp.v, delay=dpp.delay, constraints=constraints, table=event_pen,
@@ -546,12 +546,12 @@ def read_trace(path) -> Trace:
     try:
         with open(path) as fh:
             header = fh.readline().strip().split(",")
-            rows = fh.readlines()
+            first = next((line for line in fh if line.strip()), None)
+            if first is None:
+                raise ValueError(f"trace {path} has no rows")
+            data = np.loadtxt(itertools.chain([first], fh), delimiter=",", ndmin=2)
     except OSError as exc:
         raise OSError(f"cannot read trace from {path}: {exc}") from exc
-    if not any(row.strip() for row in rows):
-        raise ValueError(f"trace {path} has no rows")
-    data = np.loadtxt(rows, delimiter=",", ndmin=2)
     n_cols = len(header)
     n_k = (n_cols - 4) // 3
     if n_cols != 4 + 3 * n_k:

@@ -168,16 +168,16 @@ def dpp_select(r, q, v) -> int:
     return int(np.argmin(r.dot(weights)))
 
 
-def window_estimate(estimator, run: int = 0) -> np.ndarray:
-    """Run ``run``'s current estimates (M, K+1) in a RollingEstimator; zeros before the first sample."""
+def window_estimate(estimator) -> np.ndarray:
+    """A one-run RollingEstimator's current estimates (M, K+1); zeros before the first sample."""
     if estimator.count == 0:
-        return np.zeros_like(estimator.sums[run])
-    return estimator.sums[run] / estimator.count
+        return np.zeros_like(estimator.sums[0])
+    return estimator.sums[0] / estimator.count
 
 
-def window_select(estimator, q, v, run: int = 0) -> int:
-    """Approx-mode selection from run ``run``'s window sums; index 0 while the window is empty."""
-    return dpp_select(estimator.sums[run], q, v) if estimator.count else 0
+def window_select(estimator, q, v) -> int:
+    """Approx-mode selection from a one-run RollingEstimator's window sums; index 0 while it is empty."""
+    return dpp_select(estimator.sums[0], q, v) if estimator.count else 0
 
 
 def separable_strategy(components, q, v) -> np.ndarray:
