@@ -105,6 +105,14 @@ def test_window_of_many_runs_equals_one_window_per_run(seed, window, runs, slots
         assert many.sums[j].tobytes() == one.sums[0].tobytes()
 
 
+@pytest.mark.parametrize("events", [[1], [1, 2, 3]])
+def test_window_push_needs_one_event_per_run(two_sensor, events):
+    spec, strategies = two_sensor
+    est = cs.RollingEstimator(strategy_event_penalties(spec, strategies), window=3, runs=2)
+    with pytest.raises(ValueError, match="zip"):
+        est.push(np.array(events))
+
+
 def test_separable_components_power_only():
     spec = cs.ProblemSpec(
         action_sizes=(2, 2),
