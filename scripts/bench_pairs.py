@@ -22,8 +22,11 @@ median, unless every change run read below every parent run; otherwise
 "within bound" when the change's median is at most the parent's times
 (1 + bound), and "worse past bound" when it is higher.  Printing the
 iteration counts shows when a metric such as ``setup_s`` moved with the
-number of iterations that fit into a run.  The exit code is 1 when any run
-of any workload failed a check.
+number of iterations that fit into a run: when either side's median
+iteration count reaches ``SETUP_SAMPLES`` of perfbench/worker.py, a note
+under ``setup_s`` says that its median then comes mostly from per-iteration
+set-ups, each of which follows an iteration's memory sweep.  The exit code
+is 1 when any run of any workload failed a check.
 
 Only one copy runs at a time on a host: the script holds an exclusive
 ``fcntl`` lock on a file in the temporary directory, because two copies
@@ -33,6 +36,7 @@ running together measure each other.
 from __future__ import annotations
 
 import argparse
+import ast
 import fcntl
 import json
 import re
@@ -77,6 +81,16 @@ def run_once(
         return False, {}, iterations
     metrics = {name: m["value"] for name, m in result.get("metrics", {}).items()}
     return proc.returncode == 0 and bool(result.get("correct")), metrics, iterations
+
+
+def setup_samples() -> int:
+    """SETUP_SAMPLES of perfbench/worker.py: the warm set-ups a run times before its loop."""
+    tree = ast.parse((ROOT / "perfbench" / "worker.py").read_text())
+    for node in tree.body:
+        names = [getattr(target, "id", None) for target in getattr(node, "targets", ())]
+        if names == ["SETUP_SAMPLES"]:
+            return int(ast.literal_eval(node.value))
+    raise LookupError("perfbench/worker.py assigns no SETUP_SAMPLES")
 
 
 def bounds() -> dict[str, float]:
@@ -145,6 +159,8 @@ def run_pairs(workload: str, base: str, checkouts: dict[str, Path], args) -> int
         for side in ("parent", "change")
     ]
     print(f"  iterations: {counts[0]} -> {counts[1]}")
+    most = max((float(np.median(its)) for its in iterations.values() if its), default=0.0)
+    samples = setup_samples()
     limits = bounds()
     for name, a, b, wins, n, all_below in summarize(runs["parent"], runs["change"]):
         verdict = "met" if claim_rule_met(a, b, wins, n) else "not met"
@@ -156,6 +172,10 @@ def run_pairs(workload: str, base: str, checkouts: dict[str, Path], args) -> int
               f"change lower in {wins}/{n} pairs; "
               f"median gap {a[1] - b[1]:.6g} vs parent IQR {a[2] - a[0]:.6g}; claim rule {verdict}"
               f"{regression}", flush=True)
+        if name == "setup_s" and most >= samples:
+            print(f"    note: a median of {most:g} iterations is at least the {samples} warm set-ups "
+                  f"timed before the loop, so setup_s comes mostly from per-iteration set-ups, "
+                  f"which run after the iteration's memory sweep", flush=True)
     if failed:
         print(f"{workload}: {failed} run(s) failed a check", file=sys.stderr)
     return failed

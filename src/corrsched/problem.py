@@ -10,6 +10,7 @@ with user 0 most significant; dense penalty tables are indexed
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Sequence, Union, get_args
@@ -29,10 +30,14 @@ class CapExceeded(Exception):
 
 
 def joint_strides(sizes: Sequence[int]) -> np.ndarray:
-    """C-order strides for flattening a tuple of per-user indices."""
-    sizes = np.asarray(sizes, dtype=np.int64)
-    out = np.ones(len(sizes), dtype=np.int64)
-    out[:-1] = np.cumprod(sizes[::-1])[::-1][1:]
+    """C-order strides for flattening a tuple of per-user indices; cached, so read-only."""
+    return _joint_strides(tuple(int(n) for n in sizes))
+
+
+@functools.lru_cache(maxsize=64)
+def _joint_strides(sizes: tuple[int, ...]) -> np.ndarray:
+    out = np.array([math.prod(sizes[i + 1 :]) for i in range(len(sizes))], dtype=np.int64)
+    out.flags.writeable = False
     return out
 
 
@@ -194,9 +199,10 @@ class PowerPerUser:
     def expand(self, action_sizes, event_sizes) -> np.ndarray:
         if not 0 <= self.user < len(action_sizes):
             raise ValueError(f"user {self.user} is not in [0, {len(action_sizes)})")
-        n_omega = math.prod(event_sizes)
-        comp = joint_components(action_sizes)[:, self.user].astype(float)
-        return np.tile(comp, (n_omega, 1))
+        n_alpha, stride = math.prod(action_sizes), math.prod(action_sizes[self.user + 1 :])
+        out = np.empty((math.prod(event_sizes), n_alpha))
+        out[:] = np.arange(n_alpha) // stride % action_sizes[self.user]  # the user's own action
+        return out
 
 
 @dataclass(frozen=True, eq=False)
@@ -376,25 +382,27 @@ def distribution_violations(dist: EventDistribution, event_sizes: Sequence[int])
             if q.shape != (event_sizes[i],):
                 violations.append(f"user {i} marginal has wrong length")
                 continue
-            if not np.all(np.isfinite(q)):
+            if not np.isfinite(q).all():
                 violations.append(f"user {i} marginal has non-finite entries")
                 continue
-            if np.any(q < 0):
+            low, total = q.min(initial=np.inf), q.sum()
+            if low < 0:
                 violations.append(f"user {i} marginal has negative entries")
-            if abs(q.sum() - 1.0) > PROB_TOL:
-                violations.append(f"user {i} marginal not normalized (sum {q.sum()!r})")
-            if np.any(q <= 0):
+            if abs(total - 1.0) > PROB_TOL:
+                violations.append(f"user {i} marginal not normalized (sum {total!r})")
+            if low <= 0:
                 violations.append(f"user {i} has a zero marginal probability")
     elif isinstance(dist, JointDistribution):
         if dist.table.shape != tuple(event_sizes) and dist.table.size != math.prod(event_sizes):
             return ["joint table shape does not match event sizes"]
         flat = dist.table.reshape(-1)
-        if not np.all(np.isfinite(flat)):
+        if not np.isfinite(flat).all():
             return ["joint table has non-finite entries"]
-        if np.any(flat < 0):
+        if flat.min(initial=np.inf) < 0:
             violations.append("joint table has negative entries")
-        if abs(flat.sum() - 1.0) > PROB_TOL:
-            violations.append(f"joint table not normalized (sum {flat.sum()!r})")
+        total = flat.sum()
+        if abs(total - 1.0) > PROB_TOL:
+            violations.append(f"joint table not normalized (sum {total!r})")
     else:
         violations.append(f"unknown distribution type {type(dist).__name__}")
     return violations
@@ -430,7 +438,7 @@ def validate_spec(spec: ProblemSpec) -> ValidationReport:
         except Exception as exc:  # shape/parameter errors surface as violations
             report.add(f"penalty {k} cannot be evaluated: {exc}")
             continue
-        if not np.all(np.isfinite(table)):
+        if not np.isfinite(table).all():
             report.add(f"penalty {k} is not finite everywhere")
     return report
 

@@ -13,7 +13,8 @@ time: ``run_episode`` is its R=1 call and ``run_ensemble`` one call over all
 seeds.  Between chunks it carries only the queues, the running penalty sums,
 the last D slots of the delay line and the worst residual so far, so memory
 grows with the chunk, the delay and the stride-recorded rows, never with the
-horizon.  Chunking changes no result: every per-run number is bit-identical
+horizon.  A delay of at least the horizon reveals nothing, so the delay line
+holds min(D, horizon) slots.  Chunking changes no result: every per-run number is bit-identical
 to a full-horizon pass.
 
 Per-slot running averages include the current slot: ubar(t) averages
@@ -194,6 +195,7 @@ def _controller(config: SimConfig, runs: int) -> _Controller:
     """
     spec, dpp = config.spec, config.dpp
     constraints = np.asarray(spec.constraints, dtype=float)
+    delay = min(dpp.delay, config.horizon)  # a delay of at least the horizon reveals nothing
     own_set = config.strategies is None and config.event_penalties is None
     split = separable_components(spec) if dpp.mode == "exact" and own_set else None
     if split is not None:
@@ -202,7 +204,7 @@ def _controller(config: SimConfig, runs: int) -> _Controller:
         return _Controller(
             mode="separable",
             v=dpp.v,
-            delay=dpp.delay,
+            delay=delay,
             constraints=constraints,
             table=np.ascontiguousarray(tables.transpose(1, 2, 0)),
             per_user=[
@@ -220,7 +222,7 @@ def _controller(config: SimConfig, runs: int) -> _Controller:
     if dpp.mode == "approx":  # a window never holds more than horizon samples
         window = RollingEstimator(event_pen, min(dpp.window, config.horizon), runs)
     return _Controller(
-        mode=dpp.mode, v=dpp.v, delay=dpp.delay, constraints=constraints, table=event_pen,
+        mode=dpp.mode, v=dpp.v, delay=delay, constraints=constraints, table=event_pen,
         scored=None if window is None else window.sums, window=window,
     )
 
@@ -430,7 +432,7 @@ def _simulate(
                 q=np.ascontiguousarray(rec_q[..., j]),
                 ubar=np.ascontiguousarray(rec_ubar[:, j]),
                 pbar=np.ascontiguousarray(rec_pbar[..., j]),
-                delay=d,
+                delay=config.dpp.delay,
                 constraints=spec.constraints,
             )
             for j in range(runs)
@@ -443,8 +445,7 @@ def run_episode(config: SimConfig) -> tuple[Metrics, Trace]:
     """Simulate one seeded run; returns its metrics and trace.
 
     The trace keeps every config.stride-th slot, with running averages over
-    all slots.  Memory is O(chunk + delay + horizon / stride), whatever the
-    horizon.
+    all slots.  Memory is O(chunk + min(delay, horizon) + horizon / stride).
     """
     metrics, traces, _ = _simulate(config, [config.seed], int(config.stride), accumulate=False)
     return metrics[0], traces[0]
@@ -457,7 +458,7 @@ def run_ensemble(config: SimConfig, seeds: Sequence[int] | None = None) -> Ensem
     step in lockstep through one kernel call; each run's metrics equal
     run_episode with its seed bit for bit, and the across-run means are
     summed in seed order.  No trace is kept, so memory is O(runs * (chunk +
-    delay)) plus the O(horizon * K) mean series.
+    min(delay, horizon))) plus the O(horizon * K) mean series.
     """
     runs = config.runs if seeds is None else len(seeds)
     if runs < 1:

@@ -20,13 +20,13 @@ from .problem import (
     ProblemSpec,
     ProductDistribution,
     flat_event_probabilities,
-    joint_components,
-    joint_strides,
     penalty_tables,
 )
 
 ENUM_CAP = 10**6
 CHECK_CAP = 10**7
+# An event-penalty index of at most this many entries is built and gathered in one piece.
+ONE_BLOCK_ENTRIES = 2**16
 MONOTONE_TOL = 1e-12
 
 
@@ -142,33 +142,65 @@ def prune_applicable(spec: ProblemSpec) -> bool:
     return all(check_preferred_action(spec, k) for k in range(spec.n_constraints + 1))
 
 
-def strategy_action_table(spec: ProblemSpec, strategies: np.ndarray) -> np.ndarray:
-    """Flat action index chosen by each strategy at each event, shape (M, n_events)."""
-    omega_comp = joint_components(spec.event_sizes)
-    strides = joint_strides(spec.action_sizes)
-    out = np.zeros((len(strategies), spec.n_events), dtype=np.int64)
-    for i, g in enumerate(user_maps(spec, strategies)):
-        out += strides[i] * g[:, omega_comp[:, i]]
-    return out
-
-
 def strategy_event_penalties(spec: ProblemSpec, strategies: np.ndarray) -> np.ndarray:
     """Penalties of every strategy at every event, shape (n_events, M, K+1).
 
     Event-major layout so a single event row (used by windowed estimators and
-    per-slot bookkeeping) is contiguous.  Built by one row gather: the
+    per-slot bookkeeping) is contiguous.  Built by row gathers: the
     penalties are expanded once into a (n_events * n_actions, K+1) table
     whose row w * n_actions + a holds every penalty at event w and joint
     action a, and each strategy's row index at each event is taken from it.
-    The tensor takes 8 * n_events * M * (K+1) bytes; the int64 index adds
-    8 * n_events * M while it is built.
+
+    The index is a sum of per-user parts: user i's (|Omega_i|, M) part holds
+    omega_i * (event stride of i) * n_actions + (action stride of i) * g_i.
+    Users 1..N-1 are broadcast-added once into a tail block of
+    n_events / |Omega_0| rows, and each of user 0's events adds its part's
+    row to that block and gathers one slice of the output.  The tensor takes
+    8 * n_events * M * (K+1) bytes; the index holds at most
+    8 * M * (sum_i |Omega_i| + 2 * n_events / |Omega_0|) bytes at once, or,
+    with one user or at most ONE_BLOCK_ENTRIES entries in all, it is built
+    and gathered in one piece.
     """
     tables = penalty_tables(spec)
     flat = np.ascontiguousarray(tables.transpose(1, 2, 0), dtype=float).reshape(-1, len(tables))
-    offsets = np.arange(spec.n_events, dtype=np.int64) * spec.n_actions
-    # a C-ordered index: given a transposed one, take copies it first
-    rows = np.add(strategy_action_table(spec, strategies).T, offsets[:, None], order="C")
-    return flat.take(rows, axis=0)
+    parts = _index_parts(spec, strategies)
+    m = parts[0].shape[1]
+    if spec.n_users == 1 or spec.n_events * m <= ONE_BLOCK_ENTRIES:
+        return flat.take(_broadcast_sum(parts), axis=0)
+    tail = _broadcast_sum(parts[1:])
+    del parts[1:]  # freed before the block and the tensor are allocated
+    block = np.empty_like(tail)
+    out = np.empty((spec.n_events, m, len(tables)))
+    rows = len(tail)  # events per block
+    for w, head in enumerate(parts[0]):
+        np.add(head, tail, out=block)
+        # "clip" writes out in place, where the default mode buffers it
+        flat.take(block, axis=0, out=out[w * rows : (w + 1) * rows], mode="clip")
+    return out
+
+
+def _index_parts(spec: ProblemSpec, strategies: np.ndarray) -> list[np.ndarray]:
+    """Each user's (|Omega_i|, M) share of the flat row index of the penalty table."""
+    event_stride, action_stride = spec.n_events * spec.n_actions, spec.n_actions
+    parts = []
+    for w, a, g in zip(spec.event_sizes, spec.action_sizes, user_maps(spec, strategies)):
+        event_stride //= w
+        action_stride //= a
+        part = np.multiply(g.T, action_stride, dtype=np.int64, order="C")
+        part += np.arange(0, w * event_stride, event_stride)[:, None]
+        parts.append(part)
+    return parts
+
+
+def _broadcast_sum(parts: list[np.ndarray]) -> np.ndarray:
+    """Sum of the parts over the joint events of their users, first user slowest.
+
+    Shape (prod_i |Omega_i|, M) for parts of shapes (|Omega_i|, M).
+    """
+    total = parts[0]
+    for part in parts[1:]:
+        total = np.add(total[:, None], part[None]).reshape(len(total) * len(part), part.shape[1])
+    return total
 
 
 def r_matrix(

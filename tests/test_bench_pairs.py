@@ -82,6 +82,36 @@ def test_ten_pairs_report_the_claim_rule(bench_pairs, monkeypatch, capsys):
             "bound 25%: worse past bound") in out
 
 
+@pytest.mark.parametrize("parent_iterations,change_iterations,noted", [
+    (10, 19, False),
+    (10, 20, True),  # a median of SETUP_SAMPLES iterations on either side
+    (25, 10, True),
+])
+def test_setup_s_is_flagged_once_iterations_reach_the_warm_samples(
+    bench_pairs, monkeypatch, capsys, parent_iterations, change_iterations, noted
+):
+    def fake_run(checkout, workload, seed, seconds):
+        if checkout == bench_pairs.ROOT:
+            return True, {"setup_s": 0.5, "wall_s": 1.0}, change_iterations
+        return True, {"setup_s": 1.0, "wall_s": 1.0}, parent_iterations
+
+    monkeypatch.setattr(bench_pairs, "run_once", fake_run)
+    assert bench_pairs.main(["--base", "HEAD", "--workload", "w", "--pairs", "2", "--seed", "1"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    setup = next(i for i, line in enumerate(lines) if line.startswith("  setup_s: "))
+    note = (f"    note: a median of {max(parent_iterations, change_iterations)} iterations is at least "
+            "the 20 warm set-ups timed before the loop, so setup_s comes mostly from per-iteration "
+            "set-ups, which run after the iteration's memory sweep")
+    assert (lines[setup + 1] == note) is noted
+    assert sum(line.startswith("    note:") for line in lines) == noted
+
+
+def test_setup_samples_is_read_from_the_worker(bench_pairs):
+    worker = (bench_pairs.ROOT / "perfbench" / "worker.py").read_text()
+    assert "\nSETUP_SAMPLES = 20\n" in worker
+    assert bench_pairs.setup_samples() == 20
+
+
 def test_several_workloads_run_in_turn_with_a_block_each(bench_pairs, monkeypatch, capsys):
     calls = []
 

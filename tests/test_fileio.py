@@ -581,6 +581,23 @@ def test_cli_window_past_the_horizon_runs_as_the_horizon(tmp_path, capsys, monke
     assert outputs["1000000000000"] == outputs["200"]
 
 
+@pytest.mark.parametrize("runs", ["1", "3"])
+def test_cli_delay_past_the_horizon_runs_as_the_horizon(tmp_path, capsys, monkeypatch, runs):
+    # a delay of 10**12 used to size the delay line at D rows and fail with a numpy memory error
+    outputs = {}
+    for delay in ("200", "1000000000000"):
+        (tmp_path / delay).mkdir()
+        monkeypatch.chdir(tmp_path / delay)
+        argv = ["simulate", "--spec", str(FIXDIR / "two_sensor.json"), "--v", "20", "--delay", delay,
+                "--slots", "200", "--seed", "1", "--runs", runs, "--out", "run"]
+        code, out, err = _cli(capsys, argv)
+        metrics = json.loads(Path("run.metrics").read_text())
+        assert metrics["config"].pop("delay") == int(delay)
+        outputs[delay] = (code, out, err, metrics, Path("run.trace.csv").read_bytes())
+    assert outputs["200"][0] == 0
+    assert outputs["1000000000000"] == outputs["200"]
+
+
 @pytest.mark.parametrize("flag,value", [("--runs", "0"), ("--runs", "-2"), ("--stride", "0")])
 def test_cli_runs_and_stride_below_one_are_one_line(tmp_path, capsys, flag, value):
     # --runs 0 used to run one episode and echo "runs": 0; --stride 0 recorded every slot

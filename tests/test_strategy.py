@@ -1,4 +1,7 @@
+import hashlib
+import tracemalloc
 from itertools import product
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -7,8 +10,9 @@ from hypothesis import strategies as st
 
 import corrsched as cs
 from corrsched import fixtures
+from corrsched import strategy
 from corrsched.problem import CapExceeded, penalty_tables
-from corrsched.strategy import strategy_action_table, strategy_event_penalties, user_maps
+from corrsched.strategy import strategy_event_penalties, user_maps
 
 import oracles
 from specgen import random_spec
@@ -280,12 +284,20 @@ def test_r_vector_bounded_by_penalty_range(rng):
             assert np.all(np.abs(oracles.compute_r_vector(spec, s)) <= bound + 1e-12)
 
 
+def _event_penalties(spec, strategies, one_block):
+    """The tensor built in one piece, or one block of user 0's events at a time."""
+    limit = strategy.ONE_BLOCK_ENTRIES if one_block else 0
+    with mock.patch.object(strategy, "ONE_BLOCK_ENTRIES", limit):
+        return strategy_event_penalties(spec, strategies)
+
+
 def _assert_tensor_matches_oracle(spec, strategies):
-    got = strategy_event_penalties(spec, strategies)
-    assert got.shape == (spec.n_events, len(strategies), spec.n_constraints + 1)
-    assert got.dtype == np.float64 and got.flags.c_contiguous
     want = oracles.strategy_event_penalties(spec, strategies)
-    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+    for one_block in (True, False):
+        got = _event_penalties(spec, strategies, one_block)
+        assert got.shape == (spec.n_events, len(strategies), spec.n_constraints + 1)
+        assert got.dtype == np.float64 and got.flags.c_contiguous
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
 @settings(max_examples=30, deadline=None)
@@ -317,11 +329,55 @@ def test_event_penalties_match_oracle_on_fixtures(two_sensor):
     _assert_tensor_matches_oracle(spec, strategies)
 
 
-def test_strategy_action_table_matches_maps(two_sensor):
+def test_event_penalties_gather_each_strategys_joint_action(two_sensor):
+    # a penalty whose entry at (event, joint action) is the joint action reads back the index
     spec, strategies = two_sensor
-    table = strategy_action_table(spec, strategies)
-    for i, s in enumerate(strategies):
-        for wf in range(spec.n_events):
-            omega = tuple(np.unravel_index(wf, spec.event_sizes))
-            af = np.ravel_multi_index(_actions(spec, s, omega), spec.action_sizes)
-            assert table[i, wf] == af
+    actions = cs.ProblemSpec(
+        action_sizes=spec.action_sizes,
+        event_sizes=spec.event_sizes,
+        distribution=spec.distribution,
+        penalties=(cs.FullTable(np.tile(np.arange(spec.n_actions), (spec.n_events, 1))),),
+        constraints=(),
+    )
+    for one_block in (True, False):
+        tensor = _event_penalties(actions, strategies, one_block)
+        for i, s in enumerate(strategies):
+            for wf in range(spec.n_events):
+                omega = tuple(np.unravel_index(wf, spec.event_sizes))
+                af = np.ravel_multi_index(_actions(spec, s, omega), spec.action_sizes)
+                assert tensor[wf, i, 0] == af
+
+
+def test_event_penalties_index_memory_is_bounded_by_its_blocks():
+    # 3 users x 2 actions x 4 events, K = 1: 4096 strategies, 64 events
+    spec = cs.ProblemSpec(
+        action_sizes=(2, 2, 2),
+        event_sizes=(4, 4, 4),
+        distribution=cs.ProductDistribution((np.full(4, 0.25),) * 3),
+        penalties=(cs.FullTable(np.random.default_rng(19).uniform(-1.0, 1.0, (64, 8))), cs.PowerPerUser(0)),
+        constraints=(0.5,),
+    )
+    strategies = cs.enumerate_all(spec)
+    m = len(strategies)
+    assert spec.n_events * m > strategy.ONE_BLOCK_ENTRIES  # built block by block
+    tracemalloc.start()
+    try:
+        tensor = strategy_event_penalties(spec, strategies)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the documented index bytes, plus room for the expanded penalty tables
+    index_bytes = 8 * m * (sum(spec.event_sizes) + 2 * spec.n_events // spec.event_sizes[0])
+    tables_bytes = 8 * (spec.n_constraints + 1) * spec.n_events * spec.n_actions
+    assert peak - tensor.nbytes <= index_bytes + 4 * tables_bytes
+    # a whole (n_events, M) int64 index would not fit
+    assert index_bytes + 4 * tables_bytes < 8 * spec.n_events * m
+
+
+def test_three_sensor_event_penalties_bytes_are_pinned(three_sensor):
+    # the workload's shape, blockwise and past every per-entry oracle test
+    spec, strategies = three_sensor
+    tensor = strategy_event_penalties(spec, strategies)
+    assert tensor.shape == (1000, 1000, 4)
+    digest = hashlib.sha256(tensor.tobytes()).hexdigest()
+    assert digest == "d963e726f2eb225801fc35279570f70f924917c90cc7b768fd5381feac3fdc0a"
