@@ -32,7 +32,8 @@ from .strategy import (
     r_matrix,
     user_maps,
 )
-from .simplex import Infeasible, IterationLimit, LpProblem, LpSolution, LpStatus, solve_lp
+from .simplex import CertificateError, Infeasible, IterationLimit
+from .simplex import LpProblem, LpSolution, LpStatus, solve_lp
 from .optimizer import (
     CentralizedPolicy,
     CorrelatedPolicy,

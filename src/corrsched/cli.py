@@ -11,7 +11,7 @@ from . import analysis, fileio
 from .online import MODES, DppConfig
 from .optimizer import offline_model
 from .problem import CapExceeded, validate_spec
-from .simplex import Infeasible, IterationLimit
+from .simplex import CertificateError, Infeasible, IterationLimit
 from .simulator import SimConfig, read_trace, run_ensemble, run_episode, write_ensemble, write_trace
 
 
@@ -158,10 +158,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-# Failures caused by the input (files, specs, sizes, options), and an LP the
-# simplex could not finish within its pivot limit: reported as one line and
-# exit code 2, like argparse's own usage errors.
-_INPUT_ERRORS = (ValueError, Infeasible, CapExceeded, OSError, IterationLimit)
+# Failures caused by the input (files, specs, sizes, options), an LP the
+# simplex could not finish within its pivot limit, and an LP optimum that
+# failed its certificate: reported as one line and exit code 2, like
+# argparse's own usage errors.
+_INPUT_ERRORS = (ValueError, Infeasible, CapExceeded, OSError, IterationLimit, CertificateError)
 
 
 def _error_line(exc: Exception) -> str:

@@ -136,15 +136,12 @@ def _solve_centralized(spec: ProblemSpec) -> CentralizedPolicy:
     weighted = tables * pi[None, :, None]
     cost = weighted[0].reshape(-1)
     a_ub = weighted[1:].reshape(spec.n_constraints, n_var)
-    a_eq = np.zeros((n_o, n_var))
-    for w in range(n_o):
-        a_eq[w, w * n_a : (w + 1) * n_a] = 1.0
     sol = solve_lp(
         LpProblem(
             cost=cost,
             a_ub=a_ub,
             b_ub=np.asarray(spec.constraints),
-            a_eq=a_eq,
+            a_eq=np.kron(np.eye(n_o), np.ones(n_a)),  # row w sums theta(. | w)
             b_eq=np.ones(n_o),
         )
     )

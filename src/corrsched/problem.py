@@ -47,6 +47,11 @@ def joint_components(sizes: Sequence[int]) -> np.ndarray:
     return np.array(np.unravel_index(np.arange(n), tuple(sizes))).T
 
 
+def _component(sizes: Sequence[int], i: int) -> np.ndarray:
+    """User i's component of every flat index, one column of ``joint_components``."""
+    return np.arange(math.prod(sizes)) // math.prod(sizes[i + 1 :]) % sizes[i]
+
+
 def _frozen(values) -> np.ndarray:
     """A read-only float copy of values: a spec shares no array with its caller.
 
@@ -199,10 +204,16 @@ class PowerPerUser:
     def expand(self, action_sizes, event_sizes) -> np.ndarray:
         if not 0 <= self.user < len(action_sizes):
             raise ValueError(f"user {self.user} is not in [0, {len(action_sizes)})")
-        n_alpha, stride = math.prod(action_sizes), math.prod(action_sizes[self.user + 1 :])
-        out = np.empty((math.prod(event_sizes), n_alpha))
-        out[:] = np.arange(n_alpha) // stride % action_sizes[self.user]  # the user's own action
-        return out
+        return _power_table(self.user, tuple(action_sizes), tuple(event_sizes))
+
+
+@functools.lru_cache(maxsize=8)
+def _power_table(user: int, action_sizes: tuple, event_sizes: tuple) -> np.ndarray:
+    """PowerPerUser's table; cached for the last few shapes, so read-only."""
+    out = np.empty((math.prod(event_sizes), math.prod(action_sizes)))
+    out[:] = _component(action_sizes, user)  # the user's own action
+    out.flags.writeable = False
+    return out
 
 
 @dataclass(frozen=True, eq=False)
@@ -224,11 +235,9 @@ class MinSumUtilityNeg:
 
     def expand(self, action_sizes, event_sizes) -> np.ndarray:
         _check_per_user("weights", self.weights, event_sizes)
-        omega_comp = joint_components(event_sizes)
-        alpha_comp = joint_components(action_sizes)
         total = np.zeros((math.prod(event_sizes), math.prod(action_sizes)))
         for i, w in enumerate(self.weights):
-            total += np.outer(w[omega_comp[:, i]], alpha_comp[:, i])
+            total += np.outer(w[_component(event_sizes, i)], _component(action_sizes, i))
         return -np.minimum(total, self.cap)
 
 
@@ -243,16 +252,12 @@ class CollisionUtilityNeg:
     kind = "collision_utility_neg"
 
     def expand(self, action_sizes, event_sizes) -> np.ndarray:
-        omega_comp = joint_components(event_sizes).astype(float)
-        alpha_comp = joint_components(action_sizes)
-        n_users = len(action_sizes)
-        u = np.zeros((omega_comp.shape[0], alpha_comp.shape[0]))
-        for i in range(n_users):
-            alone = alpha_comp[:, i] == 1
-            for j in range(n_users):
-                if j != i:
-                    alone = alone & (alpha_comp[:, j] == 0)
-            u += np.outer(omega_comp[:, i], alone.astype(float))
+        alpha_comp = [_component(action_sizes, i) for i in range(len(action_sizes))]
+        n_transmitting = sum(alpha_comp)
+        u = np.zeros((math.prod(event_sizes), math.prod(action_sizes)))
+        for i, alpha in enumerate(alpha_comp):
+            alone = (alpha == 1) & (n_transmitting == 1)  # actions are >= 0
+            u += np.outer(_component(event_sizes, i).astype(float), alone.astype(float))
         return -u
 
 
@@ -294,13 +299,11 @@ class ProductForm:
     def expand(self, action_sizes, event_sizes) -> np.ndarray:
         _check_per_user("phis", self.phis, event_sizes)
         _check_per_user("psis", self.psis, action_sizes)
-        omega_comp = joint_components(event_sizes)
-        alpha_comp = joint_components(action_sizes)
-        phi = np.ones(omega_comp.shape[0])
-        psi = np.ones(alpha_comp.shape[0])
+        phi = np.ones(math.prod(event_sizes))
+        psi = np.ones(math.prod(action_sizes))
         for i in range(len(self.phis)):
-            phi = phi * self.phis[i][omega_comp[:, i]]
-            psi = psi * self.psis[i][alpha_comp[:, i]]
+            phi = phi * self.phis[i][_component(event_sizes, i)]
+            psi = psi * self.psis[i][_component(action_sizes, i)]
         return np.outer(phi, psi)
 
 

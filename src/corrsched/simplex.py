@@ -1,10 +1,18 @@
-"""Dense two-phase primal simplex with Bland's rule.
+"""Two-phase revised primal simplex with Bland's rule, certified before it returns.
 
-Built for small, well-scaled problems where the answer must be a basic
+Built for LPs with few rows and many columns whose answer must be a basic
 feasible optimum: downstream code reads the support bound of correlated
 policies straight off the vertex structure, which interior-point or
 presolving solvers would destroy.  Minimizes c.x subject to
 A_ub.x <= b_ub, A_eq.x = b_eq, x >= 0.
+
+The solver keeps an explicit (m, m) inverse of the basis, x_B and one
+contiguous (n_columns, m) copy of the sign-normalized columns (structural,
+slack and artificial).  Each iteration prices every column in one pass,
+solves for the entering column and updates the inverse by one pivot (the
+revised simplex of Dantzig & Orchard-Hays, 1954).  An optimum is returned
+only after it passes a certificate in which every row and column is judged
+against its own scale; a failure raises CertificateError.
 """
 
 from __future__ import annotations
@@ -16,6 +24,7 @@ import numpy as np
 
 PIVOT_TOL = 1e-10
 FEAS_TOL = 1e-9
+CERT_TOL = 1e-9
 
 
 class LpStatus(enum.Enum):
@@ -39,6 +48,10 @@ class IterationLimit(RuntimeError):
         self.pivots = pivots
 
 
+class CertificateError(RuntimeError):
+    """An optimum the simplex reached failed its optimality certificate."""
+
+
 @dataclass(frozen=True, eq=False)
 class LpProblem:
     cost: np.ndarray
@@ -49,19 +62,12 @@ class LpProblem:
 
     def __post_init__(self):
         n = len(self.cost)
-        object.__setattr__(self, "cost", np.asarray(self.cost, dtype=float))
-        object.__setattr__(self, "a_ub", np.asarray(self.a_ub, dtype=float).reshape(-1, n))
-        object.__setattr__(self, "b_ub", np.asarray(self.b_ub, dtype=float).reshape(-1))
-        object.__setattr__(self, "a_eq", np.asarray(self.a_eq, dtype=float).reshape(-1, n))
-        object.__setattr__(self, "b_eq", np.asarray(self.b_eq, dtype=float).reshape(-1))
-        if not (
-            np.all(np.isfinite(self.cost))
-            and np.all(np.isfinite(self.a_ub))
-            and np.all(np.isfinite(self.b_ub))
-            and np.all(np.isfinite(self.a_eq))
-            and np.all(np.isfinite(self.b_eq))
-        ):
-            raise ValueError("LP coefficients must be finite")
+        shapes = {"cost": -1, "a_ub": (-1, n), "b_ub": -1, "a_eq": (-1, n), "b_eq": -1}
+        for name, shape in shapes.items():
+            value = np.asarray(getattr(self, name), dtype=float).reshape(shape)
+            if not np.isfinite(value).all():
+                raise ValueError("LP coefficients must be finite")
+            object.__setattr__(self, name, value)
 
 
 @dataclass(eq=False)
@@ -74,138 +80,181 @@ class LpSolution:
     duals_eq: np.ndarray | None = None
 
 
-def _pivot(tab: np.ndarray, row: int, col: int) -> None:
-    tab[row] /= tab[row, col]
-    piv = tab[row].copy()
-    factor = tab[:, col].copy()
+def _pivot(binv: np.ndarray, x_b: np.ndarray, alpha: np.ndarray, row: int) -> None:
+    """Bring the column alpha = B^-1 A_j into the basis at row: one eta update of B^-1 and x_B."""
+    pivot = alpha[row]
+    binv[row] /= pivot
+    x_b[row] /= pivot
+    factor = alpha.copy()
     factor[row] = 0.0
-    tab -= np.outer(factor, piv)
-    tab[:, col] = 0.0
-    tab[row, col] = 1.0
+    binv -= factor[:, None] * binv[row]
+    x_b -= factor * x_b[row]
 
 
 def _iteration_limit(m: int, n: int) -> int:
-    """Pivots one phase may make on an (m, n+1) tableau."""
+    """Pivots one phase may make with m rows and n priced columns."""
     return 1000 + 50 * (m + n)
 
 
-def _iterate(tab: np.ndarray, basis: np.ndarray, cost: np.ndarray, phase: int) -> LpStatus:
-    """Run Bland-rule pivots to optimality or unboundedness.
+def _iterate(columns, cost, basis, binv, x_b, prices, phase: int) -> np.ndarray | None:
+    """Run Bland-rule pivots to optimality; return the duals y, or None when unbounded.
 
-    tab is the augmented (m, n+1) tableau kept in basis-reduced form; basis
-    lists the basic variable of each row.  Bland's rule (smallest entering
-    index, smallest-index leaving variable on ratio ties) precludes cycling.
-    Raises IterationLimit, naming the phase, when the pivots run out.
+    Every iteration writes the reduced costs c - columns @ y into prices,
+    with the basic columns' set to 0, so on return they are the optimal
+    basis's.  Bland's rule (smallest entering index, smallest-index leaving
+    variable on ratio ties) precludes cycling.  Raises IterationLimit,
+    naming the phase, when the pivots run out.
     """
-    m, w = tab.shape
-    n = w - 1
-    max_iter = _iteration_limit(m, n)
+    max_iter = _iteration_limit(len(basis), len(columns))
     for _ in range(max_iter):
-        y = cost[basis] @ tab[:, :n]
-        reduced = cost[:n] - y
-        reduced[basis] = 0.0
-        entering = np.flatnonzero(reduced < -PIVOT_TOL)
-        if entering.size == 0:
-            return LpStatus.OPTIMAL
-        j = int(entering[0])
-        col = tab[:, j]
-        rows = np.flatnonzero(col > PIVOT_TOL)
+        y = cost[basis] @ binv
+        np.matmul(columns, y, out=prices)
+        np.subtract(cost, prices, out=prices)
+        prices[basis] = 0.0
+        negative = prices < -PIVOT_TOL
+        j = int(negative.argmax())
+        if not negative[j]:
+            return y
+        alpha = binv @ columns[j]
+        rows = (alpha > PIVOT_TOL).nonzero()[0]
         if rows.size == 0:
-            return LpStatus.UNBOUNDED
-        ratios = tab[rows, n] / col[rows]
-        best = ratios.min()
+            return None
+        ratios = x_b[rows] / alpha[rows]
+        best = float(ratios.min())
         ties = rows[ratios <= best + 1e-15 * (1.0 + abs(best))]
-        leave = int(ties[np.argmin(basis[ties])])
-        _pivot(tab, leave, j)
+        leave = int(ties[basis[ties].argmin()])
+        _pivot(binv, x_b, alpha, leave)
         basis[leave] = j
     raise IterationLimit(phase, max_iter)
 
 
+def _check(what: str, excess, scale, index: np.ndarray | None = None) -> None:
+    """Raise CertificateError when some excess passes CERT_TOL times its scale, naming the worst."""
+    bad = excess > CERT_TOL * scale
+    if bad.any():
+        with np.errstate(divide="ignore", invalid="ignore"):
+            relative = np.atleast_1d(np.where(bad, excess / scale, -np.inf))
+        k = int(relative.argmax())
+        if np.ndim(excess):
+            what += f" {k if index is None else index[k]}"
+        raise CertificateError(
+            f"simplex optimum failed its certificate: {what} is off by "
+            f"{relative[k]:.3g} of its scale (tolerance {CERT_TOL:g})"
+        )
+
+
+def _certify(problem: LpProblem, rhs, columns, cost, b, basis, binv, x_b, y, reduced) -> None:
+    """Check an optimal basis, each row and column against its own scale.
+
+    Primal feasibility of x on every row of the problem as given (rhs is
+    [b_ub, b_eq]), a dropped redundant row included, against
+    |a_i|.(|x| + |x|_max) + |b_i| over the support, and x >= 0 against
+    |x|_max.  Every term is in the row's own units; the |x|_max term keeps
+    a row whose variables are rounding noise around 0 from being judged
+    against that noise alone.  The duals get ŷ = (|c_B| + |c_B|_max s) |B^-1|,
+    s marking the structural basic columns, in the same way.  Every reduced
+    cost c_j - A_j.y of the last pricing pass (reduced) is at least
+    -CERT_TOL (|c_j| + |A_j|.ŷ); the slack columns' reduced costs are the
+    dual signs, -y_i >= 0 on each inequality row.  The duality gap
+    c_B.x_B - b.y is checked against |c_B|.|x_B| + b.ŷ.
+    """
+    structural = basis < len(problem.cost)
+    support, xs = basis[structural], x_b[structural]
+    x_max = np.abs(xs).max(initial=0.0)
+    a = np.concatenate([problem.a_ub[:, support], problem.a_eq[:, support]])
+    excess = a @ xs - rhs
+    m_ub = len(problem.b_ub)
+    excess[m_ub:] = np.abs(excess[m_ub:])  # equality rows
+    _check("row", excess, np.abs(a) @ (np.abs(xs) + x_max) + np.abs(rhs))
+    _check("variable", -xs, x_max, support)
+    c_b = cost[basis]
+    abs_c = np.abs(c_b)
+    y_scale = (abs_c + abs_c.max(initial=0.0) * structural) @ np.abs(binv)
+    _check("duality gap", abs(c_b @ x_b - b @ y), abs_c @ np.abs(x_b) + b @ y_scale)
+    j = (reduced < 0).nonzero()[0]
+    if j.size:
+        scale = np.abs(cost[j]) + np.abs(columns[j]) @ y_scale
+        _check("reduced cost of column", -reduced[j], scale, j)
+
+
 def solve_lp(problem: LpProblem) -> LpSolution:
-    """Two-phase simplex; returns a basic optimal solution when one exists."""
+    """Two-phase revised simplex; returns a certified basic optimum when one exists.
+
+    Raises CertificateError when the optimum it reaches fails the
+    certificate (see ``_certify``), and IterationLimit when a phase runs out
+    of pivots.
+    """
     n = len(problem.cost)
     m_ub = len(problem.b_ub)
-    m_eq = len(problem.b_eq)
-    m = m_ub + m_eq
-
-    # Equality form: [A_ub I; A_eq 0] with rows sign-normalized to b >= 0.
-    a = np.zeros((m, n + m_ub))
-    a[:m_ub, :n] = problem.a_ub
-    a[:m_ub, n : n + m_ub] = np.eye(m_ub)
-    a[m_ub:, :n] = problem.a_eq
-    b = np.concatenate([problem.b_ub, problem.b_eq])
-    flip = b < 0
-    a[flip] *= -1.0
-    b = np.abs(b)
-
+    m = m_ub + len(problem.b_eq)
     n_sl = n + m_ub
-    need_art = [i for i in range(m) if i >= m_ub or flip[i]]
-    n_art = len(need_art)
-    tab = np.zeros((m, n_sl + n_art + 1))
-    tab[:, :n_sl] = a
-    tab[:, -1] = b
-    basis = np.zeros(m, dtype=np.int64)
-    next_art = n_sl
-    for i in range(m):
-        if i < m_ub and not flip[i]:
-            basis[i] = n + i
-        else:
-            tab[i, next_art] = 1.0
-            basis[i] = next_art
-            next_art += 1
 
-    keep_rows = np.ones(m, dtype=bool)
-    if n_art:
-        cost1 = np.zeros(n_sl + n_art)
+    # Equality form [A_ub I; A_eq 0] x = b with rows sign-normalized to
+    # b >= 0, one column per row of `columns`.  Each row without a slack to
+    # start from gets an artificial column.
+    rhs = np.concatenate([problem.b_ub, problem.b_eq])
+    flip = rhs < 0
+    b = np.abs(rhs)
+    art_rows = np.flatnonzero(flip | (np.arange(m) >= m_ub))
+    columns = np.zeros((n_sl + len(art_rows), m))
+    columns[:n, :m_ub] = problem.a_ub.T
+    columns[:n, m_ub:] = problem.a_eq.T
+    columns[np.arange(n, n_sl), np.arange(m_ub)] = 1.0
+    for i in np.flatnonzero(flip):
+        columns[:n_sl, i] *= -1.0
+    columns[np.arange(n_sl, len(columns)), art_rows] = 1.0
+    basis = np.arange(n, n + m)
+    basis[art_rows] = np.arange(n_sl, len(columns))
+    binv = np.eye(m)
+    x_b = b.copy()
+    prices = np.empty(len(columns))
+    rows = np.arange(m)  # the constraint rows still in the problem
+
+    if len(art_rows):
+        cost1 = np.zeros(len(columns))
         cost1[n_sl:] = 1.0
-        status = _iterate(tab, basis, cost1, phase=1)
-        if status is not LpStatus.OPTIMAL:  # phase 1 is always bounded below by 0
-            raise RuntimeError("phase 1 terminated abnormally")
-        if float(cost1[basis] @ tab[:, -1]) > FEAS_TOL:
+        if _iterate(columns, cost1, basis, binv, x_b, prices, phase=1) is None:
+            raise RuntimeError("phase 1 terminated abnormally")  # it is bounded below by 0
+        if float(cost1[basis] @ x_b) > FEAS_TOL:
             return LpSolution(status=LpStatus.INFEASIBLE)
-        # Drive leftover artificials out of the basis; an all-zero row is a
-        # redundant constraint and gets dropped.
-        for i in range(m):
-            if basis[i] >= n_sl:
-                pivots = np.flatnonzero(np.abs(tab[i, :n_sl]) > PIVOT_TOL)
-                if pivots.size:
-                    _pivot(tab, i, int(pivots[0]))
-                    basis[i] = int(pivots[0])
-                else:
-                    keep_rows[i] = False
-        tab = tab[keep_rows][:, list(range(n_sl)) + [-1]]
-        basis = basis[keep_rows]
+        # Drive leftover artificials out of the basis.  When row i of
+        # B^-1 A is zero on every other column, the artificial's own
+        # constraint is redundant and gets dropped with basis row i.
+        keep = np.ones(m, dtype=bool)
+        for i in np.flatnonzero(basis >= n_sl):
+            row = np.matmul(columns[:n_sl], binv[i], out=prices[:n_sl])
+            pivots = np.flatnonzero(np.abs(row) > PIVOT_TOL)
+            if pivots.size:
+                j = int(pivots[0])
+                _pivot(binv, x_b, binv @ columns[j], i)
+                basis[i] = j
+            else:
+                keep[i] = False
+        columns = columns[:n_sl]
+        if not keep.all():
+            rows = np.setdiff1d(rows, art_rows[basis[~keep] - n_sl])
+            binv, x_b, basis = binv[keep][:, rows], x_b[keep], basis[keep]
+            columns = np.ascontiguousarray(columns[:, rows])
+            b = b[rows]
 
-    cost2 = np.zeros(n_sl)
-    cost2[:n] = problem.cost
-    status = _iterate(tab, basis, cost2, phase=2)
-    if status is LpStatus.UNBOUNDED:
-        return LpSolution(status=status)
+    cost = np.zeros(n_sl)
+    cost[:n] = problem.cost
+    reduced = prices[:n_sl]
+    y = _iterate(columns, cost, basis, binv, x_b, reduced, phase=2)
+    if y is None:
+        return LpSolution(status=LpStatus.UNBOUNDED)
+    _certify(problem, rhs, columns, cost, b, basis, binv, x_b, y, reduced)
 
-    x_full = np.zeros(n_sl)
-    x_full[basis] = tab[:, -1]
-    x = x_full[:n]
-    objective = float(problem.cost @ x)
-
-    # Duals from the original basis columns: B^T y = c_B, ordered [ub | eq].
-    a_rows = a[keep_rows]
-    sign = np.where(flip[keep_rows], -1.0, 1.0)
-    duals_kept = None
-    try:
-        basis_cols = a_rows[:, basis]
-        y = np.linalg.solve(basis_cols.T, cost2[basis])
-        duals_kept = y * sign  # undo the row sign normalization
-    except np.linalg.LinAlgError:
-        pass
+    x = np.zeros(n)
+    structural = basis < n
+    x[basis[structural]] = x_b[structural]
     duals = np.zeros(m)
-    if duals_kept is not None:
-        duals[keep_rows] = duals_kept
-    slack_ub = problem.b_ub - problem.a_ub @ x
+    duals[rows] = np.where(flip[rows], -y, y)  # undo the row sign normalization
     return LpSolution(
         status=LpStatus.OPTIMAL,
         x=x,
-        objective=objective,
-        slack_ub=slack_ub,
+        objective=float(problem.cost @ x),
+        slack_ub=problem.b_ub - problem.a_ub @ x,
         duals_ub=duals[:m_ub],
         duals_eq=duals[m_ub:],
     )

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -213,3 +215,34 @@ def test_full_table_expansion_consistency(two_sensor):
                 omega = tuple(np.unravel_index(wf, spec.event_sizes))
                 alpha = tuple(np.unravel_index(af, spec.action_sizes))
                 assert oracles.eval_penalty(spec, k, alpha, omega) == tables[k, wf, af]
+
+
+# SHA-256 of penalty_tables, as the joint_components expansion built them
+TABLE_SHA = {
+    "two_sensor": "0cba1f08c816ef4bae1c4b7aa47d7fe30fc5347eeacc0488dcc3d3b4572998df",
+    "three_sensor": "cbc69500c1f82036946566403e01de9aa24eb5030bddb7c2faeb8566f0d67c20",
+    "counterexample": "225c732db5dee2f84dcbf8f5bf818f78873935354d221b13440419cbbe83e2d2",
+    # every family, random_family_spec seeds 0..39, one digest over all
+    "family": "c2acb6ef67bd45ef3e6488a3bf8a32fe8ea884724b704a152b266feec08a90a6",
+}
+
+
+def test_penalty_tables_are_pinned_and_skip_joint_components(count_calls):
+    calls = count_calls("joint_components")
+    for name in ["two_sensor", "three_sensor", "counterexample"]:
+        tables = penalty_tables(getattr(fixtures, f"{name}_spec")())
+        assert hashlib.sha256(tables.tobytes()).hexdigest() == TABLE_SHA[name]
+    digest = hashlib.sha256()
+    for seed in range(40):
+        spec = random_family_spec(np.random.default_rng(seed))
+        assert cs.validate_spec(spec).ok
+        digest.update(penalty_tables(spec).tobytes())
+    assert digest.hexdigest() == TABLE_SHA["family"]
+    assert calls == []
+
+
+def test_power_table_is_built_once_per_shape():
+    first = cs.PowerPerUser(1).expand((2, 3), (2, 2))
+    assert cs.PowerPerUser(1).expand([2, 3], [2, 2]) is first
+    assert not first.flags.writeable
+    assert cs.PowerPerUser(0).expand((2, 3), (2, 2)) is not first

@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -6,7 +7,9 @@ import pytest
 
 import corrsched as cs
 from corrsched import fixtures, simplex
-from corrsched.simplex import IterationLimit, LpProblem, LpStatus, solve_lp
+from corrsched.simplex import CertificateError, IterationLimit, LpProblem, LpStatus, solve_lp
+
+from specgen import scaled_spec
 
 
 def brute_force_lp(problem, tol=1e-9):
@@ -228,3 +231,115 @@ def test_iteration_limit_is_typed(limit, phase):
             cs.solve_distributed_lp(spec, strategies)
     assert (info.value.phase, info.value.pivots) == (phase, limit)
     assert f"phase {phase}" in str(info.value)
+
+
+@pytest.mark.parametrize("lam", [1e-10, 3e-10, 1e-9])
+def test_scaled_two_sensor_lp_is_refused(lam):
+    # Far below unit scale the reduced costs are smaller than the absolute
+    # PIVOT_TOL, so Bland's rule stops at a vertex that is not optimal, with
+    # the objectives 0, -lam/3 and -17 lam/36 in place of -23 lam/48.  The
+    # certificate judges each reduced cost against its column's scale and
+    # refuses the vertex.
+    spec = scaled_spec(fixtures.two_sensor_spec(), lam)
+    with pytest.raises(CertificateError, match="reduced cost of column"):
+        cs.solve_distributed_lp(spec, cs.enumerate_all(spec))
+
+
+@pytest.mark.parametrize("lam", [3e-9, 1.0])
+def test_scaled_two_sensor_lp_is_certified(lam):
+    spec = scaled_spec(fixtures.two_sensor_spec(), lam)
+    policy = cs.solve_distributed_lp(spec, cs.enumerate_all(spec))
+    assert policy.objective == pytest.approx(-23 / 48 * lam, rel=1e-12)
+
+
+def test_row_and_cost_units_give_the_same_answer_or_a_refusal(rng):
+    # Rows and costs scaled by powers of two, so exactly.  The absolute pivot
+    # tolerances can then skip a tiny row or stop on tiny reduced costs; the
+    # vertex they leave must be refused, never returned as a wrong OPTIMAL.
+    checked = refused = 0
+    for _ in range(1000):
+        n, m_ub = int(rng.integers(2, 7)), int(rng.integers(1, 4))
+        lp = LpProblem(
+            cost=rng.uniform(-1, 1, n),
+            a_ub=rng.uniform(0, 1, (m_ub, n)),
+            b_ub=rng.uniform(0, 0.6, m_ub) * (rng.random(m_ub) > 0.2),
+            a_eq=np.ones((1, n)),
+            b_eq=np.ones(1),
+        )
+        ref = solve_lp(lp)
+        if ref.status is not LpStatus.OPTIMAL:
+            continue
+        cost_unit = 2.0 ** int(rng.integers(-45, 46))
+        row_units = 2.0 ** rng.integers(-45, 46, m_ub + 1)
+        scaled = LpProblem(
+            cost=lp.cost * cost_unit,
+            a_ub=lp.a_ub * row_units[:m_ub, None],
+            b_ub=lp.b_ub * row_units[:m_ub],
+            a_eq=lp.a_eq * row_units[m_ub:, None],
+            b_eq=lp.b_eq * row_units[m_ub:],
+        )
+        try:
+            sol = solve_lp(scaled)
+        except CertificateError:
+            refused += 1
+            continue
+        if sol.status is LpStatus.OPTIMAL:
+            checked += 1
+            assert sol.objective / cost_unit == pytest.approx(ref.objective, rel=1e-9, abs=1e-12)
+    assert checked >= 100 and refused >= 40
+
+
+def test_degenerate_lps_are_certified(rng):
+    # Small integer data with repeated rows: degenerate vertices whose basic
+    # variables and duals come out as rounding noise around 0.  Every optimum
+    # must pass its certificate.
+    optimal = 0
+    for _ in range(2000):
+        n, m_ub, m_eq = int(rng.integers(1, 7)), int(rng.integers(0, 4)), int(rng.integers(1, 3))
+        a_ub = rng.integers(-3, 4, (m_ub, n)).astype(float)
+        a_eq = rng.integers(-2, 3, (m_eq, n)).astype(float)
+        b_ub = rng.integers(-2, 4, m_ub).astype(float)
+        b_eq = rng.integers(-2, 3, m_eq).astype(float)
+        k = float(rng.choice([1.0, -1.0, 2.0]))  # a redundant copy of an equality row
+        a_eq, b_eq = np.vstack([a_eq, k * a_eq[:1]]), np.append(b_eq, k * b_eq[0])
+        lp = LpProblem(rng.integers(-3, 4, n).astype(float), a_ub, b_ub, a_eq, b_eq)
+        sol = solve_lp(lp)
+        if sol.status is LpStatus.OPTIMAL:
+            optimal += 1
+            assert np.all(lp.a_ub @ sol.x <= lp.b_ub + 1e-9)
+            assert np.allclose(lp.a_eq @ sol.x, lp.b_eq, atol=1e-9)
+    assert optimal >= 300
+
+
+def test_correlated_lp_memory_stays_near_r():
+    # 2 users x 3 actions x 5 events: 3^10 = 59,049 strategies, K = 2
+    rng = np.random.default_rng(7)
+    spec = cs.ProblemSpec(
+        action_sizes=(3, 3),
+        event_sizes=(5, 5),
+        distribution=cs.ProductDistribution((np.full(5, 0.2), np.full(5, 0.2))),
+        penalties=(
+            cs.FullTable(rng.uniform(-1.0, 1.0, (25, 9))),
+            cs.PowerPerUser(0),
+            cs.PowerPerUser(1),
+        ),
+        constraints=(0.3, 0.3),
+    )
+    strategies = cs.enumerate_all(spec)
+    assert len(strategies) == 59_049
+    r = cs.r_matrix(spec, strategies)
+    lp = LpProblem(
+        cost=r[:, 0],
+        a_ub=r[:, 1:].T,
+        b_ub=np.asarray(spec.constraints),
+        a_eq=np.ones((1, len(strategies))),
+        b_eq=np.array([1.0]),
+    )
+    tracemalloc.start()
+    try:
+        sol = solve_lp(lp)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sol.status is LpStatus.OPTIMAL
+    assert peak < 3.5 * r.nbytes
