@@ -12,7 +12,8 @@ iteration count and metrics are printed as it ends; after a workload's last
 pair comes its summary block: the median [quartiles] of both sides'
 iteration counts and, for each end-to-end metric, of its values, the number
 of pairs in which the change read lower, whether a gain in it may be
-claimed, and its no-regression verdict.  The claim rule: at least MIN_PAIRS
+claimed (and if not, which conditions failed), and its no-regression
+verdict.  The claim rule: at least MIN_PAIRS
 pairs, the change lower in at least nine tenths of them (ties count for
 neither side), and the parent's median above the change's by more than the
 parent's interquartile range.  The no-regression verdict, for each metric
@@ -118,10 +119,18 @@ def summarize(parent: list[dict], change: list[dict]) -> list[tuple]:
     return rows
 
 
-def claim_rule_met(parent_q, change_q, wins: int, pairs: int) -> bool:
-    """Whether the change may claim a lower metric, from quartiles (25, 50, 75) of both sides."""
-    spread = parent_q[2] - parent_q[0]
-    return bool(pairs >= MIN_PAIRS and 10 * wins >= 9 * pairs and parent_q[1] - change_q[1] > spread)
+def claim_rule_failures(parent_q, change_q, wins: int, pairs: int) -> list[str]:
+    """The conditions of the claim rule that a lower metric fails, from quartiles (25, 50, 75)
+    of both sides; empty when the change may claim it."""
+    spread, gap = parent_q[2] - parent_q[0], parent_q[1] - change_q[1]
+    failures = []
+    if pairs < MIN_PAIRS:
+        failures.append(f"pairs {pairs} < {MIN_PAIRS}")
+    if 10 * wins < 9 * pairs:
+        failures.append(f"lower in {wins}/{pairs} < 9/10")
+    if not gap > spread:
+        failures.append(f"gap {gap:.6g} <= IQR {spread:.6g}")
+    return failures
 
 
 def regression_verdict(parent_q, change_q, bound: float, all_below: bool) -> str:
@@ -163,7 +172,8 @@ def run_pairs(workload: str, base: str, checkouts: dict[str, Path], args) -> int
     samples = setup_samples()
     limits = bounds()
     for name, a, b, wins, n, all_below in summarize(runs["parent"], runs["change"]):
-        verdict = "met" if claim_rule_met(a, b, wins, n) else "not met"
+        failures = claim_rule_failures(a, b, wins, n)
+        verdict = f"not met ({', '.join(failures)})" if failures else "met"
         regression = ""
         if name in limits:
             bound = limits[name]

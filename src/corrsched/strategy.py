@@ -50,10 +50,23 @@ def _user_maps(n_actions: int, n_events: int, monotone: bool) -> np.ndarray:
 
 
 def _strategy_set(spec: ProblemSpec, monotone: bool) -> np.ndarray:
-    """Every combination of one map per user, user 0 slowest: the lexicographic rows."""
+    """Every combination of one map per user, user 0 slowest: the lexicographic rows.
+
+    The rows are written into one preallocated array: seen as
+    (M_0, ..., M_{N-1}, sum_i |Omega_i|), user i's columns take its map list
+    by one broadcast assignment along axis i.
+    """
     per_user = [_user_maps(a, w, monotone) for a, w in zip(spec.action_sizes, spec.event_sizes)]
-    picks = np.indices([len(maps) for maps in per_user]).reshape(len(per_user), -1)
-    return np.concatenate([maps[idx] for maps, idx in zip(per_user, picks)], axis=1)
+    counts = [len(maps) for maps in per_user]
+    out = np.empty((math.prod(counts), sum(spec.event_sizes)), dtype=np.int64)
+    grid = out.reshape(*counts, out.shape[1])
+    start = 0
+    for i, maps in enumerate(per_user):
+        shape = [1] * len(counts) + [maps.shape[1]]
+        shape[i] = counts[i]
+        grid[..., start : start + maps.shape[1]] = maps.reshape(shape)
+        start += maps.shape[1]
+    return out
 
 
 def user_map_counts(spec: ProblemSpec, monotone: bool = False) -> list[int]:
@@ -98,7 +111,8 @@ def drop_act_on_zero(spec: ProblemSpec, strategies: np.ndarray) -> np.ndarray:
     useless by inspection; it is not a general dominance engine.
     """
     strategies = np.asarray(strategies)
-    return strategies[np.all([g[:, 0] == 0 for g in user_maps(spec, strategies)], axis=0)]
+    starts = np.cumsum(spec.event_sizes) - spec.event_sizes  # each user's event-0 column
+    return strategies[(strategies[:, starts] == 0).all(axis=1)]
 
 
 def check_preferred_action(spec: ProblemSpec, k: int) -> bool:
@@ -160,30 +174,99 @@ def strategy_event_penalties(spec: ProblemSpec, strategies: np.ndarray) -> np.nd
     8 * M * (sum_i |Omega_i| + 2 * n_events / |Omega_0|) bytes at once, or,
     with one user or at most ONE_BLOCK_ENTRIES entries in all, it is built
     and gathered in one piece.
+
+    A set past ONE_BLOCK_ENTRIES that is a product R x L of rows R of users
+    0..N-2 and maps L of the last user (row r * |L| + l joins R[r] and L[l],
+    as every enumerated set does) has the last user folded into the table:
+    its row (w, actions of users 0..N-2) holds the |L| * (K+1) penalties of
+    every map in L at w.  The index is then built as above over R alone,
+    with the last user as a one-action user, so it is |L| times shorter and
+    each gathered row is one contiguous block of |L| strategies.  The fold
+    is taken only when its table has at most as many entries as the whole
+    index it replaces, n_events * M.
     """
     tables = penalty_tables(spec)
     flat = np.ascontiguousarray(tables.transpose(1, 2, 0), dtype=float).reshape(-1, len(tables))
-    parts = _index_parts(spec, strategies)
-    m = parts[0].shape[1]
-    if spec.n_users == 1 or spec.n_events * m <= ONE_BLOCK_ENTRIES:
-        return flat.take(_broadcast_sum(parts), axis=0)
+    strategies = np.asarray(strategies)
+    maps = user_maps(spec, strategies)
+    m = len(strategies)
+    actions = spec.action_sizes
+    if spec.n_users > 1 and spec.n_events * m > ONE_BLOCK_ENTRIES:
+        run = _last_user_run(strategies, spec.event_sizes[-1])
+        if run is not None and flat.size // actions[-1] * run <= spec.n_events * m:
+            flat = _fold_last_user(spec, flat, maps[-1][:run])
+            maps = [g[::run] for g in maps[:-1]] + [np.zeros_like(maps[-1][: m // run])]
+            actions = actions[:-1] + (1,)
+    parts = _index_parts(spec.event_sizes, actions, maps)
+    rows = parts[0].shape[1]
+    if spec.n_users == 1 or spec.n_events * rows <= ONE_BLOCK_ENTRIES:
+        return flat.take(_broadcast_sum(parts), axis=0).reshape(spec.n_events, m, len(tables))
     tail = _broadcast_sum(parts[1:])
     del parts[1:]  # freed before the block and the tensor are allocated
     block = np.empty_like(tail)
-    out = np.empty((spec.n_events, m, len(tables)))
-    rows = len(tail)  # events per block
+    out = np.empty((spec.n_events, rows, flat.shape[1]))
+    events = len(tail)  # events per block
     for w, head in enumerate(parts[0]):
         np.add(head, tail, out=block)
         # "clip" writes out in place, where the default mode buffers it
-        flat.take(block, axis=0, out=out[w * rows : (w + 1) * rows], mode="clip")
-    return out
+        flat.take(block, axis=0, out=out[w * events : (w + 1) * events], mode="clip")
+    return out.reshape(spec.n_events, m, len(tables))
 
 
-def _index_parts(spec: ProblemSpec, strategies: np.ndarray) -> list[np.ndarray]:
-    """Each user's (|Omega_i|, M) share of the flat row index of the penalty table."""
-    event_stride, action_stride = spec.n_events * spec.n_actions, spec.n_actions
+def _last_user_run(strategies: np.ndarray, width: int) -> int | None:
+    """The length of the runs in which a set is a product R x L, or None if it is not one.
+
+    strategies holds M >= 1 rows whose last width columns are the last
+    user's map.  The set is R x L when rows r * run .. (r + 1) * run - 1 all
+    hold R[r] in the other columns, and every such run holds the same maps L
+    of the last user.  The run is the number of leading rows that share row
+    0's other columns, searched in blocks that double; every entry is then
+    checked once.
+    """
+    rest, last = strategies[:, :-width], strategies[:, -width:]
+    m = run = len(strategies)
+    start = 1
+    while start < m:
+        changed = (rest[start : 2 * start] != rest[0]).any(axis=1)
+        if changed.any():
+            run = start + int(changed.argmax())
+            break
+        start *= 2
+    runs, uneven = divmod(m, run)
+    if uneven:
+        return None
+    if not (rest.reshape(runs, run, -1) == rest[::run, None]).all():
+        return None
+    if not (last.reshape(runs, run, width) == last[:run]).all():
+        return None
+    return run
+
+
+def _fold_last_user(spec: ProblemSpec, flat: np.ndarray, last_maps: np.ndarray) -> np.ndarray:
+    """The (n_events * n_actions, K+1) penalty table with the last user's maps folded in.
+
+    Row w * (n_actions / |A_last|) + a of the result holds, for each map g
+    in last_maps in turn, the penalties at event w and joint action
+    (a, g(w_last)).
+    """
+    w_last, a_last = spec.event_sizes[-1], spec.action_sizes[-1]
+    a_rest = spec.n_actions // a_last
+    rows = np.arange(0, len(flat), a_last).reshape(-1, w_last, a_rest, 1) + last_maps.T[:, None, :]
+    return flat.take(rows, axis=0).reshape(spec.n_events * a_rest, -1)
+
+
+def _index_parts(
+    event_sizes: tuple[int, ...], action_sizes: tuple[int, ...], maps: list[np.ndarray]
+) -> list[np.ndarray]:
+    """Each user's (|Omega_i|, M) share of the flat row index of the penalty table.
+
+    maps are the users' (M, |Omega_i|) maps; the table has one row per event
+    and joint action of action_sizes.
+    """
+    action_stride = math.prod(action_sizes)
+    event_stride = math.prod(event_sizes) * action_stride
     parts = []
-    for w, a, g in zip(spec.event_sizes, spec.action_sizes, user_maps(spec, strategies)):
+    for w, a, g in zip(event_sizes, action_sizes, maps):
         event_stride //= w
         action_stride //= a
         part = np.multiply(g.T, action_stride, dtype=np.int64, order="C")

@@ -60,7 +60,8 @@ def test_pairs_alternate_and_a_failed_check_exits_1(bench_pairs, monkeypatch, ca
     assert "pair 2 seed 12 change: FAILED iterations=11 wall_s=0.5" in out
     assert "  iterations: 7 [7, 7] -> 11 [11, 11]" in out
     # three pairs are too few to claim a gain, however clear
-    assert "change lower in 3/3 pairs; median gap 0.5 vs parent IQR 0; claim rule not met" in out
+    assert ("change lower in 3/3 pairs; median gap 0.5 vs parent IQR 0; "
+            "claim rule not met (pairs 3 < 10)") in out
 
 
 def test_ten_pairs_report_the_claim_rule(bench_pairs, monkeypatch, capsys):
@@ -78,8 +79,8 @@ def test_ten_pairs_report_the_claim_rule(bench_pairs, monkeypatch, capsys):
     # the parent's set-up IQR exceeds 25% of its median, but every change run reads below
     assert ("change lower in 10/10 pairs; median gap 0.95 vs parent IQR 0.45; claim rule met; "
             "bound 25%: within bound") in out
-    assert ("change lower in 0/10 pairs; median gap -1 vs parent IQR 0; claim rule not met; "
-            "bound 25%: worse past bound") in out
+    assert ("change lower in 0/10 pairs; median gap -1 vs parent IQR 0; claim rule not met "
+            "(lower in 0/10 < 9/10, gap -1 <= IQR 0); bound 25%: worse past bound") in out
 
 
 @pytest.mark.parametrize("parent_iterations,change_iterations,noted", [
@@ -154,7 +155,35 @@ def test_several_workloads_run_in_turn_with_a_block_each(bench_pairs, monkeypatc
 def test_claim_rule(bench_pairs, wins, pairs, change_median, met):
     parent = np.array([0.75, 1.0, 1.25])  # IQR 0.5
     change = np.array([change_median - 0.125, change_median, change_median + 0.125])
-    assert bench_pairs.claim_rule_met(parent, change, wins, pairs) is met
+    assert (not bench_pairs.claim_rule_failures(parent, change, wins, pairs)) is met
+
+
+@pytest.mark.parametrize(
+    "wins,pairs,change_median,failures",
+    [
+        (8, 8, 0.25, ["pairs 8 < 10"]),  # lower in every pair and past the IQR, but too few
+        (8, 10, 0.25, ["lower in 8/10 < 9/10"]),
+        (10, 10, 0.5, ["gap 0.5 <= IQR 0.5"]),
+        (2, 3, 1.5, ["pairs 3 < 10", "lower in 2/3 < 9/10", "gap -0.5 <= IQR 0.5"]),
+    ],
+)
+def test_claim_rule_names_the_conditions_that_failed(bench_pairs, wins, pairs, change_median, failures):
+    parent = np.array([0.75, 1.0, 1.25])  # IQR 0.5
+    change = np.array([change_median - 0.125, change_median, change_median + 0.125])
+    assert bench_pairs.claim_rule_failures(parent, change, wins, pairs) == failures
+
+
+def test_summary_prints_the_failed_claim_conditions(bench_pairs, monkeypatch, capsys):
+    # eight clear pairs: lower in 8/8 with a gap past the IQR, short only of MIN_PAIRS
+    parent = iter(np.linspace(1.0, 1.7, 8))
+    monkeypatch.setattr(
+        bench_pairs, "run_once",
+        lambda checkout, *a: (True, {"wall_s": 0.5 if checkout == bench_pairs.ROOT else next(parent)}, 5),
+    )
+    assert bench_pairs.main(["--base", "HEAD", "--workload", "w", "--pairs", "8", "--seed", "1"]) == 0
+    out = capsys.readouterr().out
+    assert ("  wall_s: 1.35 [1.175, 1.525] -> 0.5 [0.5, 0.5]; change lower in 8/8 pairs; median gap 0.85 "
+            "vs parent IQR 0.35; claim rule not met (pairs 8 < 10); bound 25%: within bound") in out
 
 
 @pytest.mark.parametrize(

@@ -300,6 +300,48 @@ def _assert_tensor_matches_oracle(spec, strategies):
         assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
+def _near_products(spec, gen, every):
+    """A full set with one row changed, one dropped, two swapped and one duplicated."""
+    i, j = gen.choice(len(every), 2, replace=False)
+    changed = every.copy()
+    changed[i, -1] = (every[i, -1] + 1) % spec.action_sizes[-1]  # the last user's last event
+    swapped = every.copy()
+    swapped[[i, j]] = every[[j, i]]
+    return {
+        "changed": changed,
+        "dropped": np.delete(every, i, axis=0),
+        "swapped": swapped,
+        "duplicated": np.insert(every, i, every[j], axis=0),
+    }
+
+
+def _is_product(rows, width):
+    """Whether some run length d makes rows a product: rows r*d .. r*d + d - 1 share
+    their other columns, and every run holds the same last width columns."""
+    m = len(rows)
+    for d in range(1, m + 1):
+        if m % d == 0:
+            runs = rows.reshape(m // d, d, -1)
+            if (runs[:, :, :-width] == runs[:, :1, :-width]).all() and (
+                runs[:, :, -width:] == runs[:1, :, -width:]
+            ).all():
+                return True
+    return False
+
+
+def _folds(spec, strategies):
+    """Whether the tensor of strategies, built block by block, folds in the last user."""
+    with mock.patch.object(strategy, "_fold_last_user", wraps=strategy._fold_last_user) as fold:
+        _event_penalties(spec, strategies, one_block=False)
+    return fold.called
+
+
+def _fold_fits(spec, rows_of_others):
+    """The size rule: the folded table has at most as many entries as the whole index."""
+    a_rest = spec.n_actions // spec.action_sizes[-1]
+    return spec.n_users > 1 and a_rest * (spec.n_constraints + 1) <= rows_of_others
+
+
 @settings(max_examples=30, deadline=None)
 @given(seed=st.integers(0, 10**6), joint=st.booleans())
 def test_event_penalties_match_per_entry_oracle(seed, joint):
@@ -311,6 +353,54 @@ def test_event_penalties_match_per_entry_oracle(seed, joint):
     subset = every[gen.permutation(len(every))[: int(gen.integers(1, len(every) + 1))]]
     _assert_tensor_matches_oracle(spec, subset)
     _assert_tensor_matches_oracle(spec, [every[int(gen.integers(0, len(every)))].tolist()])
+    _assert_tensor_matches_oracle(spec, every[:0])
+    # the other users' columns fixed at one row: a product with |R| = 1 < |A_rest|
+    last_maps = strategy.user_map_counts(spec)[-1]
+    _assert_tensor_matches_oracle(spec, every[:last_maps])
+    if spec.n_users > 1:
+        assert not _folds(spec, every[:last_maps])
+    for rows in _near_products(spec, gen, every).values():
+        _assert_tensor_matches_oracle(spec, rows)
+        if not _is_product(rows, spec.event_sizes[-1]):
+            assert not _folds(spec, rows)
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 10**6), joint=st.booleans())
+def test_enumerated_sets_fold_in_the_last_user(seed, joint):
+    spec = random_spec(np.random.default_rng(seed), max_users=3, strategy_cap=200, joint=joint)
+    every = cs.enumerate_all(spec, cap=200)
+    counts = strategy.user_map_counts(spec)
+    sets = [
+        (every, counts),
+        (cs.enumerate_nondecreasing(spec, cap=200), strategy.user_map_counts(spec, monotone=True)),
+        # each user keeps the maps that take action 0 at event 0
+        (cs.drop_act_on_zero(spec, every), [c // a for c, a in zip(counts, spec.action_sizes)]),
+    ]
+    for rows, counts in sets:
+        assert len(rows) == np.prod(counts)
+        assert _folds(spec, rows) == _fold_fits(spec, len(rows) // counts[-1])
+
+
+def test_near_products_take_todays_path():
+    # 3 users, (2, 3, 2) actions, (2, 1, 2) events, K = 1: 4 x 3 x 4 = 48 strategies
+    spec = cs.ProblemSpec(
+        action_sizes=(2, 3, 2),
+        event_sizes=(2, 1, 2),
+        distribution=cs.ProductDistribution((np.full(2, 0.5), np.ones(1), np.full(2, 0.5))),
+        penalties=(cs.FullTable(np.random.default_rng(7).uniform(-1.0, 1.0, (4, 12))), cs.PowerPerUser(1)),
+        constraints=(0.5,),
+    )
+    every = cs.enumerate_all(spec)
+    assert _fold_fits(spec, 12) and _folds(spec, every)
+    for name, rows in _near_products(spec, np.random.default_rng(3), every).items():
+        assert not _is_product(rows, 2), name
+        assert not _folds(spec, rows), name
+        _assert_tensor_matches_oracle(spec, rows)
+    # swapped last-user maps in every run keep a product, in another order
+    reordered = every.reshape(12, 4, -1)[:, ::-1].reshape(48, -1)
+    assert _folds(spec, reordered)
+    _assert_tensor_matches_oracle(spec, reordered)
 
 
 def test_event_penalties_match_oracle_on_fixtures(two_sensor):
@@ -374,10 +464,40 @@ def test_event_penalties_index_memory_is_bounded_by_its_blocks():
     assert index_bytes + 4 * tables_bytes < 8 * spec.n_events * m
 
 
+def test_event_penalties_of_a_product_fold_the_last_user_into_the_table():
+    # the same 3 users x 2 actions x 4 events spec: 4096 = 256 x 16 strategies
+    spec = cs.ProblemSpec(
+        action_sizes=(2, 2, 2),
+        event_sizes=(4, 4, 4),
+        distribution=cs.ProductDistribution((np.full(4, 0.25),) * 3),
+        penalties=(cs.FullTable(np.random.default_rng(19).uniform(-1.0, 1.0, (64, 8))), cs.PowerPerUser(0)),
+        constraints=(0.5,),
+    )
+    strategies = cs.enumerate_all(spec)
+    last, k1 = strategy.user_map_counts(spec)[-1], spec.n_constraints + 1
+    rest = len(strategies) // last  # rows of users 0..N-2
+    assert spec.n_events * len(strategies) > strategy.ONE_BLOCK_ENTRIES  # past one block: folded
+    assert spec.n_events * rest <= strategy.ONE_BLOCK_ENTRIES  # the folded index is one piece
+    tracemalloc.start()
+    try:
+        tensor = strategy_event_penalties(spec, strategies)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the folded index: the users' parts, the last partial sum and the whole (n_events, |R|) index
+    index_bytes = 8 * rest * (sum(spec.event_sizes) + spec.n_events // spec.event_sizes[-1] + spec.n_events)
+    folded_table_bytes = 8 * spec.n_events * (spec.n_actions // spec.action_sizes[-1]) * last * k1
+    tables_bytes = 8 * k1 * spec.n_events * spec.n_actions
+    assert peak - tensor.nbytes <= index_bytes + folded_table_bytes + 4 * tables_bytes
+    assert np.array_equal(tensor, oracles.strategy_event_penalties(spec, strategies))
+
+
 def test_three_sensor_event_penalties_bytes_are_pinned(three_sensor):
     # the workload's shape, blockwise and past every per-entry oracle test
     spec, strategies = three_sensor
-    tensor = strategy_event_penalties(spec, strategies)
+    with mock.patch.object(strategy, "_fold_last_user", wraps=strategy._fold_last_user) as fold:
+        tensor = strategy_event_penalties(spec, strategies)
+    assert fold.called  # 100 x 10 strategies: a product
     assert tensor.shape == (1000, 1000, 4)
     digest = hashlib.sha256(tensor.tobytes()).hexdigest()
     assert digest == "d963e726f2eb225801fc35279570f70f924917c90cc7b768fd5381feac3fdc0a"
