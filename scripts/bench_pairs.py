@@ -10,7 +10,9 @@ The workloads run one after another, each with all its pairs.  Pair j runs
 first when j is even and the change first when j is odd.  Every run's
 iteration count and metrics are printed as it ends; after a workload's last
 pair comes its summary block: the median [quartiles] of both sides'
-iteration counts and, for each end-to-end metric, of its values, the number
+iteration counts, each side's failed operations over its attempted ones
+(summed from the runs' result lines, as the failure share a regression
+check compares) and, for each end-to-end metric, of its values, the number
 of pairs in which the change read lower, whether a gain in it may be
 claimed (and if not, which conditions failed), and its no-regression
 verdict.  The claim rule: at least MIN_PAIRS
@@ -66,8 +68,9 @@ def export(rev: str, dest: Path) -> None:
 
 def run_once(
     checkout: Path, workload: str, seed: int, seconds: float
-) -> tuple[bool, dict, int | None]:
-    """One untraced benchmark run: (every check passed, {metric: value}, iterations run)."""
+) -> tuple[bool, dict, int | None, tuple[int, int]]:
+    """One untraced benchmark run: (every check passed, {metric: value}, iterations run,
+    (failed, attempted) operations; (0, 0) when the run wrote no result line)."""
     cmd = [
         sys.executable, "perfbench/run.py",
         "--workload", workload, "--seed", str(seed), "--seconds", repr(seconds), "--trace", "0",
@@ -79,9 +82,10 @@ def run_once(
     try:
         result = json.loads(lines[-1])
     except (IndexError, json.JSONDecodeError):
-        return False, {}, iterations
+        return False, {}, iterations, (0, 0)
     metrics = {name: m["value"] for name, m in result.get("metrics", {}).items()}
-    return proc.returncode == 0 and bool(result.get("correct")), metrics, iterations
+    operations = (int(result.get("failed", 0)), int(result.get("attempted", 0)))
+    return proc.returncode == 0 and bool(result.get("correct")), metrics, iterations, operations
 
 
 def setup_samples() -> int:
@@ -145,16 +149,24 @@ def median_quartiles(q) -> str:
     return f"{q[1]:.6g} [{q[0]:.6g}, {q[2]:.6g}]"
 
 
+def failure_share(failed: int, attempted: int) -> str:
+    """Failed operations over attempted ones as 'failed/attempted (share)'."""
+    share = f"{failed / attempted:.3g}" if attempted else "n/a"
+    return f"{failed}/{attempted} ({share})"
+
+
 def run_pairs(workload: str, base: str, checkouts: dict[str, Path], args) -> int:
     """Run one workload's pairs and print its summary block; returns how many runs failed."""
     runs: dict[str, list[dict]] = {"parent": [], "change": []}
     iterations: dict[str, list[int]] = {"parent": [], "change": []}
+    operations = {"parent": np.zeros(2, dtype=int), "change": np.zeros(2, dtype=int)}
     failed = 0
     for j in range(args.pairs):
         seed = args.seed + j
         for side in ("parent", "change") if j % 2 == 0 else ("change", "parent"):
-            ok, metrics, count = run_once(checkouts[side], workload, seed, args.seconds)
+            ok, metrics, count, ops = run_once(checkouts[side], workload, seed, args.seconds)
             failed += not ok
+            operations[side] += ops
             runs[side].append(metrics)
             if count is not None:
                 iterations[side].append(count)
@@ -168,6 +180,8 @@ def run_pairs(workload: str, base: str, checkouts: dict[str, Path], args) -> int
         for side in ("parent", "change")
     ]
     print(f"  iterations: {counts[0]} -> {counts[1]}")
+    print(f"  failed/attempted operations: {failure_share(*operations['parent'])} -> "
+          f"{failure_share(*operations['change'])}")
     most = max((float(np.median(its)) for its in iterations.values() if its), default=0.0)
     samples = setup_samples()
     limits = bounds()

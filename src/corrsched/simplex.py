@@ -8,11 +8,16 @@ A_ub.x <= b_ub, A_eq.x = b_eq, x >= 0.
 
 The solver keeps an explicit (m, m) inverse of the basis, x_B and one
 contiguous (n_columns, m) copy of the sign-normalized columns (structural,
-slack and artificial).  Each iteration prices every column in one pass,
-solves for the entering column and updates the inverse by one pivot (the
-revised simplex of Dantzig & Orchard-Hays, 1954).  An optimum is returned
-only after it passes a certificate in which every row and column is judged
-against its own scale; a failure raises CertificateError.
+slack and artificial).  Each iteration prices the columns in blocks that
+double in size from column 0 and stops at the first block that holds a
+negative reduced cost, which is where Bland's rule finds its entering column
+(partial pricing; Maros, Computational Techniques of the Simplex Method,
+2003, ch. 9).  It then solves for the entering column and updates the
+inverse by one pivot (the revised simplex of Dantzig & Orchard-Hays, 1954).
+The last pass of a phase finds no negative reduced cost, so it prices every
+column.  An optimum is returned only after it passes a certificate in which
+every row and column is judged against its own scale; a failure raises
+CertificateError.
 """
 
 from __future__ import annotations
@@ -25,6 +30,7 @@ import numpy as np
 PIVOT_TOL = 1e-10
 FEAS_TOL = 1e-9
 CERT_TOL = 1e-9
+FIRST_BLOCK = 1024  # columns in the first pricing block; each later block doubles
 
 
 class LpStatus(enum.Enum):
@@ -65,7 +71,10 @@ class LpProblem:
         shapes = {"cost": -1, "a_ub": (-1, n), "b_ub": -1, "a_eq": (-1, n), "b_eq": -1}
         for name, shape in shapes.items():
             value = np.asarray(getattr(self, name), dtype=float).reshape(shape)
-            if not np.isfinite(value).all():
+            # A strided view such as the correlated LP's r[:, 1:].T is read row
+            # by row: as a whole, numpy walks it in memory order, a column at a time.
+            parts = value if value.ndim == 2 and not value.flags.c_contiguous else (value,)
+            if not all(np.isfinite(part).all() for part in parts):
                 raise ValueError("LP coefficients must be finite")
             object.__setattr__(self, name, value)
 
@@ -78,6 +87,7 @@ class LpSolution:
     slack_ub: np.ndarray | None = None
     duals_ub: np.ndarray | None = None
     duals_eq: np.ndarray | None = None
+    pivots: tuple[int, int] = (0, 0)  # per phase; phase 1's include the artificials driven out
 
 
 def _pivot(binv: np.ndarray, x_b: np.ndarray, alpha: np.ndarray, row: int) -> None:
@@ -96,29 +106,54 @@ def _iteration_limit(m: int, n: int) -> int:
     return 1000 + 50 * (m + n)
 
 
-def _iterate(columns, cost, basis, binv, x_b, prices, phase: int) -> np.ndarray | None:
-    """Run Bland-rule pivots to optimality; return the duals y, or None when unbounded.
+def _blocks(n: int):
+    """(lo, hi) of the pricing blocks over n columns: FIRST_BLOCK columns, then doubling.
+
+    No block has a single column unless n is 1, so a one-column tail joins the
+    block before it: numpy computes a one-row product by another path, whose
+    bits can differ from the same row's in a longer product.
+    """
+    lo, size = 0, max(FIRST_BLOCK, 2)
+    while lo < n:
+        hi = min(lo + size, n)
+        if hi == n - 1:
+            hi = n
+        yield lo, hi
+        lo, size = hi, 2 * size
+
+
+def _iterate(columns, cost, basis, binv, x_b, prices, phase: int) -> tuple[np.ndarray | None, int]:
+    """Run Bland-rule pivots to optimality; return (the duals y, or None when unbounded; pivots).
 
     Every iteration writes the reduced costs c - columns @ y into prices,
-    with the basic columns' set to 0, so on return they are the optimal
-    basis's.  Bland's rule (smallest entering index, smallest-index leaving
-    variable on ratio ties) precludes cycling.  Raises IterationLimit,
-    naming the phase, when the pivots run out.
+    with the basic columns' set to 0, one block of ``_blocks`` at a time,
+    and stops at the first block that holds one below -PIVOT_TOL: its first
+    such column is the smallest entering index, as a pass over every column
+    would find it, since each row's reduced cost has the same bits in a block
+    as in the whole product.  The pass that finds none has priced every
+    column, so on return prices holds the optimal basis's reduced costs.
+    Bland's rule (smallest entering index, smallest-index leaving variable
+    on ratio ties) precludes cycling.  Raises IterationLimit, naming the
+    phase, when the pivots run out.
     """
     max_iter = _iteration_limit(len(basis), len(columns))
-    for _ in range(max_iter):
+    for pivots in range(max_iter):
         y = cost[basis] @ binv
-        np.matmul(columns, y, out=prices)
-        np.subtract(cost, prices, out=prices)
-        prices[basis] = 0.0
-        negative = prices < -PIVOT_TOL
-        j = int(negative.argmax())
-        if not negative[j]:
-            return y
+        for lo, hi in _blocks(len(columns)):
+            block = np.matmul(columns[lo:hi], y, out=prices[lo:hi])
+            np.subtract(cost[lo:hi], block, out=block)
+            prices[basis] = 0.0
+            negative = block < -PIVOT_TOL
+            j = int(negative.argmax())
+            if negative[j]:
+                j += lo
+                break
+        else:
+            return y, pivots
         alpha = binv @ columns[j]
         rows = (alpha > PIVOT_TOL).nonzero()[0]
         if rows.size == 0:
-            return None
+            return None, pivots
         ratios = x_b[rows] / alpha[rows]
         best = float(ratios.min())
         ties = rows[ratios <= best + 1e-15 * (1.0 + abs(best))]
@@ -197,8 +232,8 @@ def solve_lp(problem: LpProblem) -> LpSolution:
     b = np.abs(rhs)
     art_rows = np.flatnonzero(flip | (np.arange(m) >= m_ub))
     columns = np.zeros((n_sl + len(art_rows), m))
-    columns[:n, :m_ub] = problem.a_ub.T
-    columns[:n, m_ub:] = problem.a_eq.T
+    for i, row in enumerate((*problem.a_ub, *problem.a_eq)):
+        columns[:n, i] = row  # one row at a time: a strided inner loop over n, not over m
     columns[np.arange(n, n_sl), np.arange(m_ub)] = 1.0
     for i in np.flatnonzero(flip):
         columns[:n_sl, i] *= -1.0
@@ -209,25 +244,31 @@ def solve_lp(problem: LpProblem) -> LpSolution:
     x_b = b.copy()
     prices = np.empty(len(columns))
     rows = np.arange(m)  # the constraint rows still in the problem
+    pivots1 = 0
 
     if len(art_rows):
         cost1 = np.zeros(len(columns))
         cost1[n_sl:] = 1.0
-        if _iterate(columns, cost1, basis, binv, x_b, prices, phase=1) is None:
+        y, pivots1 = _iterate(columns, cost1, basis, binv, x_b, prices, phase=1)
+        if y is None:
             raise RuntimeError("phase 1 terminated abnormally")  # it is bounded below by 0
         if float(cost1[basis] @ x_b) > FEAS_TOL:
-            return LpSolution(status=LpStatus.INFEASIBLE)
-        # Drive leftover artificials out of the basis.  When row i of
-        # B^-1 A is zero on every other column, the artificial's own
-        # constraint is redundant and gets dropped with basis row i.
+            return LpSolution(status=LpStatus.INFEASIBLE, pivots=(pivots1, 0))
+        # Drive leftover artificials out of the basis, each by the first
+        # column where row i of B^-1 A is nonzero, scanned in the pricing's
+        # blocks.  When there is none, the artificial's own constraint is
+        # redundant and gets dropped with basis row i.
         keep = np.ones(m, dtype=bool)
         for i in np.flatnonzero(basis >= n_sl):
-            row = np.matmul(columns[:n_sl], binv[i], out=prices[:n_sl])
-            pivots = np.flatnonzero(np.abs(row) > PIVOT_TOL)
-            if pivots.size:
-                j = int(pivots[0])
-                _pivot(binv, x_b, binv @ columns[j], i)
-                basis[i] = j
+            for lo, hi in _blocks(n_sl):
+                row = np.matmul(columns[lo:hi], binv[i], out=prices[lo:hi])
+                nonzero = np.flatnonzero(np.abs(row) > PIVOT_TOL)
+                if nonzero.size:
+                    j = lo + int(nonzero[0])
+                    _pivot(binv, x_b, binv @ columns[j], i)
+                    basis[i] = j
+                    pivots1 += 1
+                    break
             else:
                 keep[i] = False
         columns = columns[:n_sl]
@@ -240,9 +281,9 @@ def solve_lp(problem: LpProblem) -> LpSolution:
     cost = np.zeros(n_sl)
     cost[:n] = problem.cost
     reduced = prices[:n_sl]
-    y = _iterate(columns, cost, basis, binv, x_b, reduced, phase=2)
+    y, pivots2 = _iterate(columns, cost, basis, binv, x_b, reduced, phase=2)
     if y is None:
-        return LpSolution(status=LpStatus.UNBOUNDED)
+        return LpSolution(status=LpStatus.UNBOUNDED, pivots=(pivots1, pivots2))
     _certify(problem, rhs, columns, cost, b, basis, binv, x_b, y, reduced)
 
     x = np.zeros(n)
@@ -250,6 +291,8 @@ def solve_lp(problem: LpProblem) -> LpSolution:
     x[basis[structural]] = x_b[structural]
     duals = np.zeros(m)
     duals[rows] = np.where(flip[rows], -y, y)  # undo the row sign normalization
+    # objective and slack_ub take every entry of x: products over the support
+    # alone would round differently
     return LpSolution(
         status=LpStatus.OPTIMAL,
         x=x,
@@ -257,4 +300,5 @@ def solve_lp(problem: LpProblem) -> LpSolution:
         slack_ub=problem.b_ub - problem.a_ub @ x,
         duals_ub=duals[:m_ub],
         duals_eq=duals[m_ub:],
+        pivots=(pivots1, pivots2),
     )

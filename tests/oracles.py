@@ -2,9 +2,10 @@
 
 The package computes each of these in bulk: penalties through ``expand``,
 expected penalties through ``r_matrix``, selections and queues inside the
-simulator's kernel, the independent probe in one batched ascent.  The
-versions here do the same arithmetic one point, one slot or one probe at a
-time, so the tests can compare the two.
+simulator's kernel, the independent probe in one batched ascent, the
+simplex's reduced costs in blocks.  The versions here do the same arithmetic
+one point, one slot, one probe or one whole pricing pass at a time, so the
+tests can compare the two.
 """
 
 import numpy as np
@@ -18,6 +19,7 @@ from corrsched import (
     ProductForm,
     WeightedSum,
     r_matrix,
+    simplex,
     user_maps,
 )
 from corrsched.problem import flat_event_probabilities, joint_components, penalty_tables, sample_event_indices
@@ -265,3 +267,37 @@ def ascend_mixture(spec, corners, tol=1e-9):
         if best is None or r[0] < best[0]:
             best = r
     return best
+
+
+# ---------------------------------------------------------------------------
+# Simplex: Bland's rule pricing every column in one pass
+# ---------------------------------------------------------------------------
+
+
+def full_pass_iterate(columns, cost, basis, binv, x_b, prices):
+    """Bland-rule pivots to optimality; returns the duals y, or None when unbounded.
+
+    ``simplex._iterate`` with every column priced in one ``cost - columns @ y``
+    pass per iteration instead of block by block.  Pivots through
+    ``simplex._pivot`` and updates basis, binv, x_b and prices in place as
+    the package does.
+    """
+    while True:
+        y = cost[basis] @ binv
+        np.matmul(columns, y, out=prices)
+        np.subtract(cost, prices, out=prices)
+        prices[basis] = 0.0
+        negative = prices < -simplex.PIVOT_TOL
+        j = int(negative.argmax())
+        if not negative[j]:
+            return y
+        alpha = binv @ columns[j]
+        rows = (alpha > simplex.PIVOT_TOL).nonzero()[0]
+        if rows.size == 0:
+            return None
+        ratios = x_b[rows] / alpha[rows]
+        best = float(ratios.min())
+        ties = rows[ratios <= best + 1e-15 * (1.0 + abs(best))]
+        leave = int(ties[basis[ties].argmin()])
+        simplex._pivot(binv, x_b, alpha, leave)
+        basis[leave] = j

@@ -48,7 +48,7 @@ def test_pairs_alternate_and_a_failed_check_exits_1(bench_pairs, monkeypatch, ca
         side = "change" if checkout == bench_pairs.ROOT else "parent"
         calls.append((side, seed))
         ok = (seed, side) != (12, "change")
-        return ok, {"wall_s": 1.0 if side == "parent" else 0.5}, 7 if side == "parent" else 11
+        return ok, {"wall_s": 1.0 if side == "parent" else 0.5}, 7 if side == "parent" else 11, (1 - ok, 4)
 
     monkeypatch.setattr(bench_pairs, "run_once", fake_run)
     code = bench_pairs.main(["--base", "HEAD", "--workload", "w", "--pairs", "3", "--seed", "10"])
@@ -59,6 +59,7 @@ def test_pairs_alternate_and_a_failed_check_exits_1(bench_pairs, monkeypatch, ca
     assert "pair 0 seed 10 parent: ok iterations=7 wall_s=1" in out
     assert "pair 2 seed 12 change: FAILED iterations=11 wall_s=0.5" in out
     assert "  iterations: 7 [7, 7] -> 11 [11, 11]" in out
+    assert "  failed/attempted operations: 0/12 (0) -> 1/12 (0.0833)" in out
     # three pairs are too few to claim a gain, however clear
     assert ("change lower in 3/3 pairs; median gap 0.5 vs parent IQR 0; "
             "claim rule not met (pairs 3 < 10)") in out
@@ -69,8 +70,8 @@ def test_ten_pairs_report_the_claim_rule(bench_pairs, monkeypatch, capsys):
 
     def fake_run(checkout, workload, seed, seconds):
         if checkout == bench_pairs.ROOT:
-            return True, {"setup_s": 0.5, "wall_s": 2.0}, 20
-        return True, {"setup_s": next(parent), "wall_s": 1.0}, 10
+            return True, {"setup_s": 0.5, "wall_s": 2.0}, 20, (0, 20)
+        return True, {"setup_s": next(parent), "wall_s": 1.0}, 10, (0, 10)
 
     monkeypatch.setattr(bench_pairs, "run_once", fake_run)
     assert bench_pairs.main(["--base", "HEAD", "--workload", "w", "--seed", "1"]) == 0
@@ -93,8 +94,8 @@ def test_setup_s_is_flagged_once_iterations_reach_the_warm_samples(
 ):
     def fake_run(checkout, workload, seed, seconds):
         if checkout == bench_pairs.ROOT:
-            return True, {"setup_s": 0.5, "wall_s": 1.0}, change_iterations
-        return True, {"setup_s": 1.0, "wall_s": 1.0}, parent_iterations
+            return True, {"setup_s": 0.5, "wall_s": 1.0}, change_iterations, (0, change_iterations)
+        return True, {"setup_s": 1.0, "wall_s": 1.0}, parent_iterations, (0, parent_iterations)
 
     monkeypatch.setattr(bench_pairs, "run_once", fake_run)
     assert bench_pairs.main(["--base", "HEAD", "--workload", "w", "--pairs", "2", "--seed", "1"]) == 0
@@ -121,7 +122,7 @@ def test_several_workloads_run_in_turn_with_a_block_each(bench_pairs, monkeypatc
         calls.append((workload, side, seed))
         ok = (workload, side) != ("a", "change")  # one workload failing stops no other
         wall = {"a": 1.0, "b": 4.0}[workload] * (0.5 if side == "change" else 1.0)
-        return ok, {"wall_s": wall}, 3
+        return ok, {"wall_s": wall}, 3, (0, 3)
 
     monkeypatch.setattr(bench_pairs, "run_once", fake_run)
     code = bench_pairs.main(["--base", "HEAD", "--workload", "a", "b", "--pairs", "2", "--seed", "5"])
@@ -178,7 +179,7 @@ def test_summary_prints_the_failed_claim_conditions(bench_pairs, monkeypatch, ca
     parent = iter(np.linspace(1.0, 1.7, 8))
     monkeypatch.setattr(
         bench_pairs, "run_once",
-        lambda checkout, *a: (True, {"wall_s": 0.5 if checkout == bench_pairs.ROOT else next(parent)}, 5),
+        lambda checkout, *a: (True, {"wall_s": 0.5 if checkout == bench_pairs.ROOT else next(parent)}, 5, (0, 5)),
     )
     assert bench_pairs.main(["--base", "HEAD", "--workload", "w", "--pairs", "8", "--seed", "1"]) == 0
     out = capsys.readouterr().out
@@ -218,10 +219,31 @@ def test_run_once_reads_the_iteration_count(bench_pairs, monkeypatch):
     )
     done = subprocess.CompletedProcess([], 0, stdout=stdout)
     monkeypatch.setattr(bench_pairs.subprocess, "run", lambda *a, **k: done)
-    assert bench_pairs.run_once(Path("."), "w", 1, 1.0) == (True, {"wall_s": 0.1}, 13)
+    assert bench_pairs.run_once(Path("."), "w", 1, 1.0) == (True, {"wall_s": 0.1}, 13, (0, 13))
     crashed = subprocess.CompletedProcess([], 1, stdout="")
     monkeypatch.setattr(bench_pairs.subprocess, "run", lambda *a, **k: crashed)
-    assert bench_pairs.run_once(Path("."), "w", 1, 1.0) == (False, {}, None)
+    assert bench_pairs.run_once(Path("."), "w", 1, 1.0) == (False, {}, None, (0, 0))
+
+
+def test_summary_sums_failed_over_attempted_operations_per_side(bench_pairs, monkeypatch, capsys):
+    # the runs' result lines carry the counts; a run with no result line adds nothing
+    lines = {
+        ("parent", 1): '{"correct": true, "attempted": 40, "failed": 0, "metrics": {"wall_s": {"value": 1.0}}}',
+        ("change", 1): '{"correct": false, "attempted": 50, "failed": 2, "metrics": {"wall_s": {"value": 0.9}}}',
+        ("parent", 2): '{"correct": false, "attempted": 60, "failed": 3, "metrics": {"wall_s": {"value": 1.1}}}',
+        ("change", 2): "",
+    }
+
+    def fake_subprocess(cmd, cwd, **kwargs):
+        side = "change" if cwd == bench_pairs.ROOT else "parent"
+        stdout = lines[side, int(cmd[cmd.index("--seed") + 1])]
+        return subprocess.CompletedProcess(cmd, 0 if '"failed": 0' in stdout else 1, stdout=stdout)
+
+    monkeypatch.setattr(bench_pairs.subprocess, "run", fake_subprocess)
+    assert bench_pairs.main(["--base", "HEAD", "--workload", "w", "--pairs", "2", "--seed", "1"]) == 1
+    out = capsys.readouterr().out
+    assert "  failed/attempted operations: 3/100 (0.03) -> 2/50 (0.04)" in out
+    assert bench_pairs.failure_share(0, 0) == "0/0 (n/a)"
 
 
 def test_second_copy_is_refused(bench_pairs, monkeypatch, capsys):

@@ -9,6 +9,7 @@ import corrsched as cs
 from corrsched import fixtures, simplex
 from corrsched.simplex import CertificateError, IterationLimit, LpProblem, LpStatus, solve_lp
 
+import oracles
 from specgen import scaled_spec
 
 
@@ -343,3 +344,169 @@ def test_correlated_lp_memory_stays_near_r():
         tracemalloc.stop()
     assert sol.status is LpStatus.OPTIMAL
     assert peak < 3.5 * r.nbytes
+
+
+@pytest.mark.parametrize("first", [1, 2, 3, 1024])
+def test_blocks_tile_the_columns_doubling_with_no_one_column_block(first, monkeypatch):
+    monkeypatch.setattr(simplex, "FIRST_BLOCK", first)
+    for n in range(1, 5000):
+        blocks = list(simplex._blocks(n))
+        sizes = [hi - lo for lo, hi in blocks]
+        assert blocks[0][0] == 0 and blocks[-1][1] == n
+        assert all(a[1] == b[0] for a, b in zip(blocks, blocks[1:]))
+        assert n == 1 or min(sizes) >= 2
+        # every block but the last doubles; the last is cut at n or takes a one-column tail
+        assert all(size == max(first, 2) << k for k, size in enumerate(sizes[:-1]))
+        assert sizes[-1] <= (max(first, 2) << (len(sizes) - 1)) + 1
+
+
+def _phase2_lp(rng, n, m, shift, last_block_only=False):
+    """min c.x s.t. A x <= b, x >= 0 with A, b > 0, in the solver's column form: the
+    structural and slack columns in a random order, the slacks as the basis."""
+    order = rng.permutation(n + m)
+    if last_block_only:
+        # structural column 0 goes to a random place in the last block
+        place = int(rng.integers(list(simplex._blocks(n + m))[-1][0], n + m))
+        k = int(np.flatnonzero(order == place)[0])
+        order[[0, k]] = order[[k, 0]]
+    columns = np.empty((n + m, m))
+    columns[order] = np.vstack([rng.uniform(0.05, 1.0, (n, m)), np.eye(m)])
+    cost = np.zeros(n + m)
+    cost[order[:n]] = rng.uniform(-shift, 1.0, n)
+    if last_block_only:
+        # at the slack basis y = 0, so its one negative reduced cost is past every other block
+        cost[order[:n]] = np.abs(cost[order[:n]])
+        cost[order[0]] = -1.0
+    basis = order[n:].copy()
+    return columns, cost, basis, rng.uniform(0.5, 1.0, m)
+
+
+def _pivot_path(iterate, columns, cost, basis, b):
+    """Run iterate from the basis; returns (the basis before each pivot and at the end, y, prices)."""
+    bases = []
+    pivot = simplex._pivot
+
+    def spy(binv, x_b, alpha, row):
+        bases.append(basis.copy())
+        pivot(binv, x_b, alpha, row)
+
+    binv, x_b, prices = np.eye(len(b)), b.copy(), np.full(len(columns), np.nan)
+    with mock.patch.object(simplex, "_pivot", spy):
+        y = iterate(columns, cost, basis, binv, x_b, prices)
+    return bases + [basis], y, prices
+
+
+@pytest.mark.parametrize("first,sizes", [
+    (1, range(2, 40)),
+    (2, range(2, 40)),
+    (3, range(2, 50)),
+    (None, (4990, 5000, 5119, 5121)),  # default blocks: 1024, 2048, then the rest
+])
+def test_block_pricing_pivots_as_a_full_pass(first, sizes, rng, monkeypatch):
+    # Bland's rule enters the smallest index with a negative reduced cost; the
+    # blocks must find the same one, so the pivots, y and the final reduced
+    # costs come out bit-equal to pricing every column each time.
+    if first is not None:
+        monkeypatch.setattr(simplex, "FIRST_BLOCK", first)
+    late_entries = interior_basics = 0
+    for n_columns in sizes:
+        for last_block_only in (False, True):
+            m = int(rng.integers(1, 4)) if n_columns > 4 else 1
+            columns, cost, start, b = _phase2_lp(
+                rng, n_columns - m, m, float(rng.uniform(0.02, 1.0)), last_block_only
+            )
+            ref_bases, ref_y, _ = _pivot_path(oracles.full_pass_iterate, columns, cost, start.copy(), b)
+            pivots = []
+
+            def blocked(*args):
+                y, count = simplex._iterate(*args, phase=2)
+                pivots.append(count)
+                return y
+
+            bases, y, prices = _pivot_path(blocked, columns, cost, start.copy(), b)
+            assert len(bases) == len(ref_bases) and pivots == [len(ref_bases) - 1]
+            assert all(np.array_equal(a, r) for a, r in zip(bases, ref_bases))
+            assert y.tobytes() == ref_y.tobytes()
+            full = cost - columns @ y
+            full[bases[-1]] = 0.0
+            assert prices.tobytes() == full.tobytes()
+            blocks = list(simplex._blocks(n_columns))
+            if last_block_only and len(blocks) > 1:
+                entered = np.setdiff1d(ref_bases[1], ref_bases[0])
+                late_entries += int(entered[0] >= blocks[-1][0])
+            interior_basics += any(lo < j < hi - 1 for lo, hi in blocks[:-1] for j in start)
+    assert late_entries >= len(sizes) // 2
+    assert interior_basics >= len(sizes) // 2
+
+
+def test_block_pricing_solves_as_one_block(monkeypatch):
+    # Whole solves with phase 1 and redundant equality rows, whose artificials
+    # are driven out by the same block scan: blocks of two or three columns
+    # give the bits of a single block over every column.
+    answers = {}
+    for first in (10**9, 2, 3):
+        monkeypatch.setattr(simplex, "FIRST_BLOCK", first)
+        local = np.random.default_rng(5)
+        answers[first] = []
+        for _ in range(300):
+            n, m_ub, m_eq = int(local.integers(1, 30)), int(local.integers(0, 4)), int(local.integers(1, 3))
+            a_eq = local.integers(-2, 3, (m_eq, n)).astype(float)
+            b_eq = local.integers(-2, 3, m_eq).astype(float)
+            a_eq[:, : int(local.integers(0, n))] = 0.0  # the drive-out's first pivot may lie past block 1
+            lp = LpProblem(
+                local.uniform(-1, 1, n),
+                np.vstack([local.uniform(-1, 1, (m_ub, n)), np.ones(n)]),  # sum(x) <= 3 bounds it
+                np.append(local.uniform(-0.2, 1, m_ub), 3.0),
+                np.vstack([a_eq, a_eq[:1]]),  # a redundant copy of an equality row
+                np.append(b_eq, b_eq[0]),
+            )
+            sol = solve_lp(lp)
+            answers[first].append((sol.status, sol.pivots, *(
+                None if v is None else np.asarray(v).tobytes()
+                for v in (sol.x, sol.objective, sol.slack_ub, sol.duals_ub, sol.duals_eq)
+            )))
+    assert answers[2] == answers[10**9] and answers[3] == answers[10**9]
+    statuses = [a[0] for a in answers[2]]
+    assert statuses.count(LpStatus.OPTIMAL) >= 200
+    assert sum(a[1][0] > 0 for a in answers[2]) >= 200  # phase 1 pivoted
+
+
+def test_two_sensor_lp_reports_its_pivots_per_phase(two_sensor):
+    # one pivot to bring the equality row's artificial out, three to the optimum
+    spec, strategies = two_sensor
+    r = cs.r_matrix(spec, strategies)
+    sol = solve_lp(LpProblem(
+        cost=r[:, 0],
+        a_ub=r[:, 1:].T,
+        b_ub=np.asarray(spec.constraints),
+        a_eq=np.ones((1, len(strategies))),
+        b_eq=np.array([1.0]),
+    ))
+    assert sol.pivots == (1, 3)
+    # no artificial, so no phase 1; Bland's rule enters column 0, then column 1
+    assert solve_lp(LpProblem(
+        np.array([-1.0, -2.0]), np.array([[1.0, 1.0]]), np.array([1.0]), np.zeros((0, 2)), np.zeros(0)
+    )).pivots == (0, 2)
+
+
+@pytest.mark.parametrize("field", ["cost", "a_ub", "b_ub", "a_eq", "b_eq"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_coefficients_are_refused(field, bad):
+    # cost and a_ub as the correlated LP passes them: strided views of one r
+    r = np.arange(12.0).reshape(4, 3)
+    fields = {
+        "cost": r[:, 0],
+        "a_ub": r[:, 1:].T,
+        "b_ub": np.array([1.0, 2.0]),
+        "a_eq": np.ones((2, 4)),
+        "b_eq": np.array([1.0, 1.0]),
+    }
+    LpProblem(**fields)
+    if field == "cost":
+        r[2, 0] = bad
+    elif field == "a_ub":
+        r[3, 2] = bad  # the last entry of the view's second row
+    else:
+        fields[field][-1] = bad  # the last row
+    with pytest.raises(ValueError, match="LP coefficients must be finite"):
+        LpProblem(**fields)
