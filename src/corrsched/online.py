@@ -38,7 +38,12 @@ MODES = ("exact", "approx")
 
 @dataclass
 class DppConfig:
-    """Controller parameters: tradeoff weight V, feedback delay D, mode, approx's window."""
+    """Controller parameters: tradeoff weight V, feedback delay D, mode, approx's window.
+
+    Slot t's selection reads the queues, which hold the penalties of slots up
+    to t - 1 - D, and in approx mode a window of the joint events of slots up
+    to t - max(D, 1): at D = 0 a slot's event is revealed after its selection.
+    """
 
     v: float
     delay: int = 0

@@ -92,17 +92,14 @@ def solve_distributed_lp(
     Minimizes the expected objective penalty subject to the K expected
     constraint penalties, over probability vectors on the strategies.  The
     simplex solution is basic, so the support has at most K+1 strategies.
-    With no r, the set the spec resolves to is solved once per spec object
-    and its cached policy returned; any other set, and an r the caller
-    built, is solved afresh.
+    With no r, the answer is the offline model's: the set the spec resolves
+    to is solved once per spec object and its cached policy returned; any
+    other set, and an r the caller built, is solved afresh.
     """
     if len(strategies) == 0:
         raise ValueError("empty strategy set")
     if r is None:
-        model = offline_model(spec)
-        if model.resolves_to(strategies):
-            return model.correlated
-        r = r_matrix(spec, strategies)
+        return offline_model(spec, strategies).correlated
     m = len(strategies)
     lp = LpProblem(
         cost=r[:, 0],

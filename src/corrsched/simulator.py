@@ -34,7 +34,7 @@ from typing import Sequence
 import numpy as np
 
 from .online import DppConfig, RollingEstimator, separable_components
-from .optimizer import offline_model, resolve_strategies  # noqa: F401  (resolve_strategies: kept importable here)
+from .optimizer import offline_model
 from .problem import (
     EventDistribution,
     ProblemSpec,
@@ -84,6 +84,11 @@ class SimConfig:
             raise ValueError(f"runs must be >= 1, got {self.runs}")
         if self.stride < 1:
             raise ValueError(f"stride must be >= 1, got {self.stride}")
+        if self.event_penalties is not None:  # (events, strategies, penalties) of spec and set
+            spec, shape = self.spec, np.shape(self.event_penalties)
+            m, k1 = "M" if self.strategies is None else len(self.strategies), spec.n_constraints + 1
+            if len(shape) != 3 or shape[::2] != (spec.n_events, k1) or m not in ("M", shape[1]):
+                raise ValueError(f"event_penalties has shape {shape}, expected ({spec.n_events}, {m}, {k1})")
 
 
 @dataclass(eq=False)
@@ -237,7 +242,8 @@ def _step_single(ctl: _Controller, t0: int, n: int, ev, pen, qa, ms) -> None:
     """
     d = ctl.delay
     window, revealed = ctl.window, ev  # ev row i is revealed at slot t0 + i
-    first_push = n if window is None else d - t0  # slot d is the first revealed
+    late = window is not None and d == 0  # at D = 0 slot t's event is pushed after its selection
+    first_push = n if window is None or late else d - t0  # slot d is the first revealed
     ev, pen, qa, ms = ev[:, 0], pen[:, :, 0], qa[:, :, 0], ms[:, 0]
     delayed = pen[:, 1:]  # row i: slot t0 + i - d, zeros before slot 0
     w = np.concatenate(([ctl.v], qa[0]))
@@ -253,6 +259,8 @@ def _step_single(ctl: _Controller, t0: int, n: int, ev, pen, qa, ms) -> None:
             if i >= first_push:
                 window.push(revealed[i])
             col = m = score(w).argmin()
+            if late:
+                window.push(revealed[i])
         else:
             col, m = 0, -1
             for stride, comp in per_user:
@@ -295,13 +303,16 @@ def _step_batched(ctl: _Controller, t0: int, n: int, ev, pen, qa, ms) -> None:
         w_stack = w[:, :, None]
         scores = np.empty((runs, n_cols, 1))
         scores_2d = scores[:, :, 0]
-    first_push = n if ctl.window is None else d - t0  # as in _step_single
+    late = ctl.window is not None and d == 0  # as in _step_single
+    first_push = n if ctl.window is None or late else d - t0
     for i in range(n):
         if per_user is None:
             if i >= first_push:
                 ctl.window.push(ev[i])
             np.matmul(scored, w_stack, out=scores)
             scores_2d.argmin(axis=1, out=cols)
+            if late:
+                ctl.window.push(ev[i])
             ms[i] = cols
         else:
             for j, wfj in enumerate(ev[d + i]):

@@ -25,7 +25,9 @@ from .problem import (
 
 ENUM_CAP = 10**6
 CHECK_CAP = 10**7
-# An event-penalty index of at most this many entries is built and gathered in one piece.
+# strategy_event_penalties tries the product fold only on a set whose unfolded index
+# has more entries than this: on the tiny sets of offline-many-small the product test
+# alone doubled a tensor build (about 20 to 37-40 microseconds).
 ONE_BLOCK_ENTRIES = 2**16
 MONOTONE_TOL = 1e-12
 
@@ -160,20 +162,14 @@ def strategy_event_penalties(spec: ProblemSpec, strategies: np.ndarray) -> np.nd
     """Penalties of every strategy at every event, shape (n_events, M, K+1).
 
     Event-major layout so a single event row (used by windowed estimators and
-    per-slot bookkeeping) is contiguous.  Built by row gathers: the
+    per-slot bookkeeping) is contiguous.  Built by one row gather: the
     penalties are expanded once into a (n_events * n_actions, K+1) table
     whose row w * n_actions + a holds every penalty at event w and joint
     action a, and each strategy's row index at each event is taken from it.
 
-    The index is a sum of per-user parts: user i's (|Omega_i|, M) part holds
-    omega_i * (event stride of i) * n_actions + (action stride of i) * g_i.
-    Users 1..N-1 are broadcast-added once into a tail block of
-    n_events / |Omega_0| rows, and each of user 0's events adds its part's
-    row to that block and gathers one slice of the output.  The tensor takes
-    8 * n_events * M * (K+1) bytes; the index holds at most
-    8 * M * (sum_i |Omega_i| + 2 * n_events / |Omega_0|) bytes at once, or,
-    with one user or at most ONE_BLOCK_ENTRIES entries in all, it is built
-    and gathered in one piece.
+    The index is a sum of per-user parts, broadcast-added over the joint
+    events into one (n_events, M) int64 array (``_row_index``), 1/(K+1) of
+    the tensor's 8 * n_events * M * (K+1) bytes.
 
     A set past ONE_BLOCK_ENTRIES that is a product R x L of rows R of users
     0..N-2 and maps L of the last user (row r * |L| + l joins R[r] and L[l],
@@ -183,7 +179,10 @@ def strategy_event_penalties(spec: ProblemSpec, strategies: np.ndarray) -> np.nd
     with the last user as a one-action user, so it is |L| times shorter and
     each gathered row is one contiguous block of |L| strategies.  The fold
     is taken only when its table has at most as many entries as the whole
-    index it replaces, n_events * M.
+    index it replaces, n_events * M.  For G gathered rows (M, or |R| after
+    the fold) the index peaks at
+    8 * G * (|Omega_{N-1}| + n_events / |Omega_{N-1}| + n_events) bytes:
+    the last user's part, the sum of the parts before it and the whole index.
     """
     tables = penalty_tables(spec)
     flat = np.ascontiguousarray(tables.transpose(1, 2, 0), dtype=float).reshape(-1, len(tables))
@@ -195,22 +194,10 @@ def strategy_event_penalties(spec: ProblemSpec, strategies: np.ndarray) -> np.nd
         run = _last_user_run(strategies, spec.event_sizes[-1])
         if run is not None and flat.size // actions[-1] * run <= spec.n_events * m:
             flat = _fold_last_user(spec, flat, maps[-1][:run])
-            maps = [g[::run] for g in maps[:-1]] + [np.zeros_like(maps[-1][: m // run])]
+            maps = [g[::run] for g in maps[:-1]] + [np.broadcast_to(0, (m // run, maps[-1].shape[1]))]
             actions = actions[:-1] + (1,)
-    parts = _index_parts(spec.event_sizes, actions, maps)
-    rows = parts[0].shape[1]
-    if spec.n_users == 1 or spec.n_events * rows <= ONE_BLOCK_ENTRIES:
-        return flat.take(_broadcast_sum(parts), axis=0).reshape(spec.n_events, m, len(tables))
-    tail = _broadcast_sum(parts[1:])
-    del parts[1:]  # freed before the block and the tensor are allocated
-    block = np.empty_like(tail)
-    out = np.empty((spec.n_events, rows, flat.shape[1]))
-    events = len(tail)  # events per block
-    for w, head in enumerate(parts[0]):
-        np.add(head, tail, out=block)
-        # "clip" writes out in place, where the default mode buffers it
-        flat.take(block, axis=0, out=out[w * events : (w + 1) * events], mode="clip")
-    return out.reshape(spec.n_events, m, len(tables))
+    index = _row_index(spec.event_sizes, actions, maps)
+    return flat.take(index, axis=0).reshape(spec.n_events, m, len(tables))
 
 
 def _last_user_run(strategies: np.ndarray, width: int) -> int | None:
@@ -255,35 +242,26 @@ def _fold_last_user(spec: ProblemSpec, flat: np.ndarray, last_maps: np.ndarray) 
     return flat.take(rows, axis=0).reshape(spec.n_events * a_rest, -1)
 
 
-def _index_parts(
+def _row_index(
     event_sizes: tuple[int, ...], action_sizes: tuple[int, ...], maps: list[np.ndarray]
-) -> list[np.ndarray]:
-    """Each user's (|Omega_i|, M) share of the flat row index of the penalty table.
+) -> np.ndarray:
+    """The (n_events, M) row index of each strategy in the penalty table, first user slowest.
 
     maps are the users' (M, |Omega_i|) maps; the table has one row per event
-    and joint action of action_sizes.
+    and joint action of action_sizes.  User i's (|Omega_i|, M) part,
+    omega_i * (event stride of i) * n_actions + (action stride of i) * g_i,
+    is broadcast-added to the sum of the parts before it.
     """
     action_stride = math.prod(action_sizes)
     event_stride = math.prod(event_sizes) * action_stride
-    parts = []
+    index = None
     for w, a, g in zip(event_sizes, action_sizes, maps):
         event_stride //= w
         action_stride //= a
         part = np.multiply(g.T, action_stride, dtype=np.int64, order="C")
         part += np.arange(0, w * event_stride, event_stride)[:, None]
-        parts.append(part)
-    return parts
-
-
-def _broadcast_sum(parts: list[np.ndarray]) -> np.ndarray:
-    """Sum of the parts over the joint events of their users, first user slowest.
-
-    Shape (prod_i |Omega_i|, M) for parts of shapes (|Omega_i|, M).
-    """
-    total = parts[0]
-    for part in parts[1:]:
-        total = np.add(total[:, None], part[None]).reshape(len(total) * len(part), part.shape[1])
-    return total
+        index = part if index is None else np.add(index[:, None], part).reshape(len(index) * w, -1)
+    return index
 
 
 def r_matrix(

@@ -2,7 +2,9 @@
 
 The golden values were captured from the full-horizon, one-run-at-a-time
 simulator this kernel replaced: float.hex of every Metrics field and a
-SHA-256 digest of every Trace array.  Each case also runs with tiny and
+SHA-256 digest of every Trace array.  The approx cases at delay 0 were
+re-captured when slot t's own event left slot t's window (it now enters
+after slot t's selection).  Each case also runs with tiny and
 large chunk sizes, so chunk edges, delays longer than a chunk and delays
 longer than the horizon all have to reproduce the same bits.
 """
@@ -83,11 +85,11 @@ GOLDEN_EPISODES = {
         "3ecbc0244c8df1af",
     ),
     "approx-d0": (
-        "0x1.fd22829f462bfp-2",
-        ("0x1.5649d4759346bp-2", "0x1.53ef520ab17d1p-2"),
-        ("0x1.2aaaaaaaaa0dcp+3", "0x1.d55555555554ep+1"),
-        "0x1.4000000000000p-51",
-        "5fce4754310a06b5",
+        "0x1.ebd76029bffe6p-2",
+        ("0x1.562fa24468116p-2", "0x1.4fa315f99abf0p-2"),
+        ("0x1.1555555554f2ap+3", "0x1.2aaaaaaaaaa9cp+1"),
+        "-0x1.176cb7222e000p-15",
+        "545cddb7d00f80a0",
     ),
     "approx-d7": (
         "0x1.e9e5a6838b09ep-2",
@@ -174,11 +176,11 @@ GOLDEN_EPISODES = {
         "a6c59c4138c365cd",
     ),
     "approx-h1": (
-        "0x1.0000000000000p+0",
-        ("0x1.0000000000000p+0", "0x0.0p+0"),
-        ("0x1.5555555555556p-1", "0x0.0p+0"),
-        "-0x1.0000000000000p-54",
-        "5cfc869bdf5db697",
+        "0x0.0p+0",
+        ("0x0.0p+0", "0x0.0p+0"),
+        ("0x0.0p+0", "0x0.0p+0"),
+        "-0x1.5555555555555p-2",
+        "5b6fb58e61fa4759",
     ),
     "separable-h17": (
         "0x1.5f029d4131a80p+0",

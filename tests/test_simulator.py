@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import corrsched as cs
-from corrsched.simulator import resolve_strategies
+from corrsched import resolve_strategies
 from corrsched.strategy import strategy_event_penalties
 
 import oracles
@@ -131,6 +131,65 @@ def test_approx_ensemble_pushes_every_run_at_once(two_sensor, monkeypatch):
     cs.run_ensemble(cfg)
     # one push per revealed slot, each with all five runs' events
     assert calls == [5] * (horizon - delay)
+
+
+@pytest.mark.parametrize("window", [1, 40])
+def test_approx_mode_at_delay_0_stays_below_the_distributed_optimum(two_sensor, window):
+    # the distributed LP optimum is the best a distributed policy can reach; a window that
+    # held slot t's own event reached the centralized 0.5 here (0.5009-0.5011)
+    spec, _ = two_sensor
+    every = cs.enumerate_all(spec)
+    assert cs.solve_distributed_lp(spec, every).utility == pytest.approx(0.479167, abs=1e-6)
+    metrics, _ = cs.run_episode(_cfg(spec, every, "approx", 100.0, 0, window, horizon=100_000))
+    assert metrics.utility <= 0.479167 + 0.005
+
+
+@pytest.mark.parametrize("runs", [1, 3])
+@pytest.mark.parametrize("mode,window", [("exact", None), ("approx", 1), ("approx", 13)])
+def test_delay_0_selection_does_not_read_its_own_slots_event(two_sensor, monkeypatch, mode, window, runs):
+    # changing slot t's joint event in every run leaves every selection up to slot t as it was
+    spec, _ = two_sensor
+    every = cs.enumerate_all(spec)
+    monkeypatch.setattr(cs.simulator, "CHUNK_SLOTS", 7)  # slots 6 and 7 sit on a chunk edge
+    draw = cs.simulator.sample_event_indices
+
+    def strategies(t=None, event=None):
+        def patched(distribution, event_sizes, gen, n, start, stop):
+            events = draw(distribution, event_sizes, gen, n, start, stop)
+            if t is not None and start <= t < stop:
+                events[t - start] = event
+            return events
+
+        monkeypatch.setattr(cs.simulator, "sample_event_indices", patched)
+        cfg = _cfg(spec, every, mode, 5.0, 0, window, horizon=40)
+        _, traces, _ = cs.simulator._simulate(cfg, list(range(runs)), 1, accumulate=False)
+        return np.stack([trace.strategy for trace in traces])
+
+    base = strategies()
+    for t in (0, 1, 6, 7, 20):
+        for event in range(spec.n_events):
+            changed = strategies(t, event)
+            assert np.array_equal(changed[:, : t + 1], base[:, : t + 1]), (t, event)
+
+
+def test_sim_config_rejects_event_penalties_of_another_shape(two_sensor):
+    spec, strategies = two_sensor
+    every = cs.enumerate_all(spec)
+    pen = strategy_event_penalties(spec, strategies)
+    cs.SimConfig(spec=spec, dpp=cs.DppConfig(v=1.0), horizon=10, seed=1, event_penalties=pen)
+    # approx mode given an 8-event tensor ran at utility 0.3615, where the right one gives 0.4805
+    eight_events = np.concatenate([pen, pen])
+    approx = cs.DppConfig(v=100.0, delay=10, mode="approx", window=40)
+    with pytest.raises(ValueError, match=r"^event_penalties has shape \(8, 4, 3\), expected \(4, 4, 3\)$"):
+        cs.SimConfig(spec=spec, dpp=approx, horizon=10, seed=1, strategies=strategies,
+                     event_penalties=eight_events)
+    # a 16-strategy set with the 4-strategy tensor: trace indices would name the tensor's rows
+    with pytest.raises(ValueError, match=r"^event_penalties has shape \(4, 4, 3\), expected \(4, 16, 3\)$"):
+        cs.SimConfig(spec=spec, dpp=cs.DppConfig(v=1.0), horizon=10, seed=1, strategies=every,
+                     event_penalties=pen)
+    for bad in (pen[0], pen[..., :2], pen[..., None]):
+        with pytest.raises(ValueError, match=r"expected \(4, M, 3\)$"):
+            cs.SimConfig(spec=spec, dpp=cs.DppConfig(v=1.0), horizon=10, seed=1, event_penalties=bad)
 
 
 def test_separable_run_matches_exact_run(rng):

@@ -284,17 +284,17 @@ def test_r_vector_bounded_by_penalty_range(rng):
             assert np.all(np.abs(oracles.compute_r_vector(spec, s)) <= bound + 1e-12)
 
 
-def _event_penalties(spec, strategies, one_block):
-    """The tensor built in one piece, or one block of user 0's events at a time."""
-    limit = strategy.ONE_BLOCK_ENTRIES if one_block else 0
+def _event_penalties(spec, strategies, fold_any_size):
+    """The tensor with the product fold tried on a set of any size, or only past ONE_BLOCK_ENTRIES."""
+    limit = 0 if fold_any_size else strategy.ONE_BLOCK_ENTRIES
     with mock.patch.object(strategy, "ONE_BLOCK_ENTRIES", limit):
         return strategy_event_penalties(spec, strategies)
 
 
 def _assert_tensor_matches_oracle(spec, strategies):
     want = oracles.strategy_event_penalties(spec, strategies)
-    for one_block in (True, False):
-        got = _event_penalties(spec, strategies, one_block)
+    for fold_any_size in (False, True):
+        got = _event_penalties(spec, strategies, fold_any_size)
         assert got.shape == (spec.n_events, len(strategies), spec.n_constraints + 1)
         assert got.dtype == np.float64 and got.flags.c_contiguous
         assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
@@ -330,9 +330,9 @@ def _is_product(rows, width):
 
 
 def _folds(spec, strategies):
-    """Whether the tensor of strategies, built block by block, folds in the last user."""
+    """Whether the tensor of strategies, with the fold tried at any size, folds in the last user."""
     with mock.patch.object(strategy, "_fold_last_user", wraps=strategy._fold_last_user) as fold:
-        _event_penalties(spec, strategies, one_block=False)
+        _event_penalties(spec, strategies, fold_any_size=True)
     return fold.called
 
 
@@ -429,8 +429,8 @@ def test_event_penalties_gather_each_strategys_joint_action(two_sensor):
         penalties=(cs.FullTable(np.tile(np.arange(spec.n_actions), (spec.n_events, 1))),),
         constraints=(),
     )
-    for one_block in (True, False):
-        tensor = _event_penalties(actions, strategies, one_block)
+    for fold_any_size in (False, True):
+        tensor = _event_penalties(actions, strategies, fold_any_size)
         for i, s in enumerate(strategies):
             for wf in range(spec.n_events):
                 omega = tuple(np.unravel_index(wf, spec.event_sizes))
@@ -438,8 +438,8 @@ def test_event_penalties_gather_each_strategys_joint_action(two_sensor):
                 assert tensor[wf, i, 0] == af
 
 
-def test_event_penalties_index_memory_is_bounded_by_its_blocks():
-    # 3 users x 2 actions x 4 events, K = 1: 4096 strategies, 64 events
+def test_event_penalties_index_of_a_non_product_is_one_piece():
+    # 3 users x 2 actions x 4 events, K = 1: the 4096 strategies with one row dropped
     spec = cs.ProblemSpec(
         action_sizes=(2, 2, 2),
         event_sizes=(4, 4, 4),
@@ -447,21 +447,22 @@ def test_event_penalties_index_memory_is_bounded_by_its_blocks():
         penalties=(cs.FullTable(np.random.default_rng(19).uniform(-1.0, 1.0, (64, 8))), cs.PowerPerUser(0)),
         constraints=(0.5,),
     )
-    strategies = cs.enumerate_all(spec)
+    strategies = np.delete(cs.enumerate_all(spec), 1000, axis=0)
     m = len(strategies)
-    assert spec.n_events * m > strategy.ONE_BLOCK_ENTRIES  # built block by block
+    assert spec.n_events * m > strategy.ONE_BLOCK_ENTRIES  # the fold is tried
+    assert not _folds(spec, strategies)  # and refused: 4095 rows are no product
     tracemalloc.start()
     try:
         tensor = strategy_event_penalties(spec, strategies)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # the documented index bytes, plus room for the expanded penalty tables
-    index_bytes = 8 * m * (sum(spec.event_sizes) + 2 * spec.n_events // spec.event_sizes[0])
+    # the last user's part, the sum of the parts before it and the whole (n_events, M) index,
+    # plus room for the expanded penalty tables
+    last = spec.event_sizes[-1]
+    index_bytes = 8 * m * (last + spec.n_events // last + spec.n_events)
     tables_bytes = 8 * (spec.n_constraints + 1) * spec.n_events * spec.n_actions
     assert peak - tensor.nbytes <= index_bytes + 4 * tables_bytes
-    # a whole (n_events, M) int64 index would not fit
-    assert index_bytes + 4 * tables_bytes < 8 * spec.n_events * m
 
 
 def test_event_penalties_of_a_product_fold_the_last_user_into_the_table():
@@ -484,8 +485,10 @@ def test_event_penalties_of_a_product_fold_the_last_user_into_the_table():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # the folded index: the users' parts, the last partial sum and the whole (n_events, |R|) index
-    index_bytes = 8 * rest * (sum(spec.event_sizes) + spec.n_events // spec.event_sizes[-1] + spec.n_events)
+    # the folded index: the last user's part, the sum of the parts before it and the whole
+    # (n_events, |R|) index
+    w_last = spec.event_sizes[-1]
+    index_bytes = 8 * rest * (w_last + spec.n_events // w_last + spec.n_events)
     folded_table_bytes = 8 * spec.n_events * (spec.n_actions // spec.action_sizes[-1]) * last * k1
     tables_bytes = 8 * k1 * spec.n_events * spec.n_actions
     assert peak - tensor.nbytes <= index_bytes + folded_table_bytes + 4 * tables_bytes
@@ -493,7 +496,7 @@ def test_event_penalties_of_a_product_fold_the_last_user_into_the_table():
 
 
 def test_three_sensor_event_penalties_bytes_are_pinned(three_sensor):
-    # the workload's shape, blockwise and past every per-entry oracle test
+    # the workload's shape, folded and gathered in one piece, past every per-entry oracle test
     spec, strategies = three_sensor
     with mock.patch.object(strategy, "_fold_last_user", wraps=strategy._fold_last_user) as fold:
         tensor = strategy_event_penalties(spec, strategies)
