@@ -15,9 +15,11 @@ negative reduced cost, which is where Bland's rule finds its entering column
 2003, ch. 9).  It then solves for the entering column and updates the
 inverse by one pivot (the revised simplex of Dantzig & Orchard-Hays, 1954).
 The last pass of a phase finds no negative reduced cost, so it prices every
-column.  An optimum is returned only after it passes a certificate in which
-every row and column is judged against its own scale; a failure raises
-CertificateError.
+column.  Phase 2 prices the structural and slack columns only; an artificial
+that phase 1 left basic, at zero, is held there until a pivot takes it out at
+ratio 0 (see ``_iterate``), and one in a redundant row stays, with dual 0.  An
+optimum is returned only after it passes a certificate in which every row and
+column is judged against its own scale; a failure raises CertificateError.
 """
 
 from __future__ import annotations
@@ -70,13 +72,7 @@ class LpProblem:
         n = len(self.cost)
         shapes = {"cost": -1, "a_ub": (-1, n), "b_ub": -1, "a_eq": (-1, n), "b_eq": -1}
         for name, shape in shapes.items():
-            value = np.asarray(getattr(self, name), dtype=float).reshape(shape)
-            # A strided view such as the correlated LP's r[:, 1:].T is read row
-            # by row: as a whole, numpy walks it in memory order, a column at a time.
-            parts = value if value.ndim == 2 and not value.flags.c_contiguous else (value,)
-            if not all(np.isfinite(part).all() for part in parts):
-                raise ValueError("LP coefficients must be finite")
-            object.__setattr__(self, name, value)
+            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=float).reshape(shape))
 
 
 @dataclass(eq=False)
@@ -87,7 +83,7 @@ class LpSolution:
     slack_ub: np.ndarray | None = None
     duals_ub: np.ndarray | None = None
     duals_eq: np.ndarray | None = None
-    pivots: tuple[int, int] = (0, 0)  # per phase; phase 1's include the artificials driven out
+    pivots: tuple[int, int] = (0, 0)  # per phase
 
 
 def _pivot(binv: np.ndarray, x_b: np.ndarray, alpha: np.ndarray, row: int) -> None:
@@ -135,7 +131,20 @@ def _iterate(columns, cost, basis, binv, x_b, prices, phase: int) -> tuple[np.nd
     Bland's rule (smallest entering index, smallest-index leaving variable
     on ratio ties) precludes cycling.  Raises IterationLimit, naming the
     phase, when the pivots run out.
+
+    A basic index past the priced columns is an artificial that phase 1
+    left at zero; cost and prices cover it.  It is held: an entering column
+    whose entry in its row passes PIVOT_TOL in magnitude, of either sign,
+    takes that row at ratio 0, so no pivot with a positive step moves it.
+    Since it never re-enters, each artificial forces at most one pivot, and
+    between forced pivots every pivot is Bland's rule on rows whose held
+    entries are within PIVOT_TOL (Bland, "New finite pivoting rules for the
+    simplex method", 1977), so the phase terminates.  None is returned for
+    an unbounded column only when neither a positive entry nor a held entry
+    passes PIVOT_TOL, so its ray keeps every held artificial at zero.
     """
+    held = basis >= len(columns)
+    holding = bool(held.any())
     max_iter = _iteration_limit(len(basis), len(columns))
     for pivots in range(max_iter):
         y = cost[basis] @ binv
@@ -151,15 +160,24 @@ def _iterate(columns, cost, basis, binv, x_b, prices, phase: int) -> tuple[np.nd
         else:
             return y, pivots
         alpha = binv @ columns[j]
-        rows = (alpha > PIVOT_TOL).nonzero()[0]
+        eligible = alpha > PIVOT_TOL
+        if holding:
+            forced = held & (np.abs(alpha) > PIVOT_TOL)
+            eligible |= forced
+        rows = eligible.nonzero()[0]
         if rows.size == 0:
             return None, pivots
         ratios = x_b[rows] / alpha[rows]
+        if holding:
+            ratios[forced[rows]] = 0.0
         best = float(ratios.min())
         ties = rows[ratios <= best + 1e-15 * (1.0 + abs(best))]
         leave = int(ties[basis[ties].argmin()])
         _pivot(binv, x_b, alpha, leave)
         basis[leave] = j
+        if holding:
+            held[leave] = False
+            holding = bool(held.any())
     raise IterationLimit(phase, max_iter)
 
 
@@ -182,9 +200,8 @@ def _certify(problem: LpProblem, rhs, columns, cost, b, basis, binv, x_b, y, red
     """Check an optimal basis, each row and column against its own scale.
 
     Primal feasibility of x on every row of the problem as given (rhs is
-    [b_ub, b_eq]), a dropped redundant row included, against
-    |a_i|.(|x| + |x|_max) + |b_i| over the support, and x >= 0 against
-    |x|_max.  Every term is in the row's own units; the |x|_max term keeps
+    [b_ub, b_eq]) against |a_i|.(|x| + |x|_max) + |b_i| over the support,
+    and x >= 0 against |x|_max.  Every term is in the row's own units; the |x|_max term keeps
     a row whose variables are rounding noise around 0 from being judged
     against that noise alone.  The duals get ŷ = (|c_B| + |c_B|_max s) |B^-1|,
     s marking the structural basic columns, in the same way.  Every reduced
@@ -234,6 +251,10 @@ def solve_lp(problem: LpProblem) -> LpSolution:
     columns = np.zeros((n_sl + len(art_rows), m))
     for i, row in enumerate((*problem.a_ub, *problem.a_eq)):
         columns[:n, i] = row  # one row at a time: a strided inner loop over n, not over m
+    cost = np.zeros(len(columns))  # phase 2's: 0 on the slacks and on held artificials
+    cost[:n] = problem.cost
+    if not (np.isfinite(columns[:n]).all() and np.isfinite(cost).all() and np.isfinite(rhs).all()):
+        raise ValueError("LP coefficients must be finite")
     columns[np.arange(n, n_sl), np.arange(m_ub)] = 1.0
     for i in np.flatnonzero(flip):
         columns[:n_sl, i] *= -1.0
@@ -243,7 +264,6 @@ def solve_lp(problem: LpProblem) -> LpSolution:
     binv = np.eye(m)
     x_b = b.copy()
     prices = np.empty(len(columns))
-    rows = np.arange(m)  # the constraint rows still in the problem
     pivots1 = 0
 
     if len(art_rows):
@@ -254,43 +274,17 @@ def solve_lp(problem: LpProblem) -> LpSolution:
             raise RuntimeError("phase 1 terminated abnormally")  # it is bounded below by 0
         if float(cost1[basis] @ x_b) > FEAS_TOL:
             return LpSolution(status=LpStatus.INFEASIBLE, pivots=(pivots1, 0))
-        # Drive leftover artificials out of the basis, each by the first
-        # column where row i of B^-1 A is nonzero, scanned in the pricing's
-        # blocks.  When there is none, the artificial's own constraint is
-        # redundant and gets dropped with basis row i.
-        keep = np.ones(m, dtype=bool)
-        for i in np.flatnonzero(basis >= n_sl):
-            for lo, hi in _blocks(n_sl):
-                row = np.matmul(columns[lo:hi], binv[i], out=prices[lo:hi])
-                nonzero = np.flatnonzero(np.abs(row) > PIVOT_TOL)
-                if nonzero.size:
-                    j = lo + int(nonzero[0])
-                    _pivot(binv, x_b, binv @ columns[j], i)
-                    basis[i] = j
-                    pivots1 += 1
-                    break
-            else:
-                keep[i] = False
-        columns = columns[:n_sl]
-        if not keep.all():
-            rows = np.setdiff1d(rows, art_rows[basis[~keep] - n_sl])
-            binv, x_b, basis = binv[keep][:, rows], x_b[keep], basis[keep]
-            columns = np.ascontiguousarray(columns[:, rows])
-            b = b[rows]
 
-    cost = np.zeros(n_sl)
-    cost[:n] = problem.cost
-    reduced = prices[:n_sl]
-    y, pivots2 = _iterate(columns, cost, basis, binv, x_b, reduced, phase=2)
+    columns = columns[:n_sl]
+    y, pivots2 = _iterate(columns, cost, basis, binv, x_b, prices, phase=2)
     if y is None:
         return LpSolution(status=LpStatus.UNBOUNDED, pivots=(pivots1, pivots2))
-    _certify(problem, rhs, columns, cost, b, basis, binv, x_b, y, reduced)
+    _certify(problem, rhs, columns, cost, b, basis, binv, x_b, y, prices[:n_sl])
 
     x = np.zeros(n)
     structural = basis < n
     x[basis[structural]] = x_b[structural]
-    duals = np.zeros(m)
-    duals[rows] = np.where(flip[rows], -y, y)  # undo the row sign normalization
+    duals = np.where(flip, -y, y)  # undo the row sign normalization
     # objective and slack_ub take every entry of x: products over the support
     # alone would round differently
     return LpSolution(

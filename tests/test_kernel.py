@@ -319,6 +319,41 @@ def test_chunked_event_draws_equal_one_shot(distribution, n, chunk):
     assert rng.bit_generator.state == one_shot_rng.bit_generator.state
 
 
+@pytest.mark.parametrize("delay", [0, 2])
+def test_per_user_rule_reads_only_each_users_own_event(delay, monkeypatch):
+    # SEP's penalties 1 and 2 are the users' powers, so trace.p holds their actions.
+    # Changing user j's event at slot t leaves the other user's action at slot t, and
+    # every action before t, as it was.
+    monkeypatch.setattr(simulator, "CHUNK_SLOTS", 7)
+    config = cs.SimConfig(spec=SEP, dpp=cs.DppConfig(v=10.0, delay=delay), horizon=40, seed=99, stride=1)
+    draw = simulator.sample_event_indices
+
+    def actions(t=None, user=None, own=None):
+        def patched(distribution, event_sizes, gen, n, start, stop):
+            events = draw(distribution, event_sizes, gen, n, start, stop)
+            if t is not None and start <= t < stop:
+                parts = list(np.unravel_index(events[t - start], event_sizes))
+                parts[user] = own
+                events[t - start] = np.ravel_multi_index(parts, event_sizes)
+            return events
+
+        monkeypatch.setattr(simulator, "sample_event_indices", patched)
+        _, trace = cs.run_episode(config)
+        assert np.all(trace.strategy == -1)  # the per-user rule ran
+        return trace.p
+
+    base = actions()
+    moved = 0
+    for t in (0, 1, 6, 7, 20):
+        for user in (0, 1):
+            for own in range(SEP.event_sizes[user]):
+                changed = actions(t, user, own)
+                assert np.array_equal(changed[:t], base[:t]), (t, user, own)
+                assert changed[t, 1 - user] == base[t, 1 - user], (t, user, own)
+                moved += changed[t, user] != base[t, user]
+    assert moved >= 1  # a user's own event does move its action
+
+
 @pytest.mark.parametrize("runs", [1, 10, 100])
 @pytest.mark.parametrize("shape", [(4, 3), (1000, 4)])
 def test_stacked_matvec_equals_per_run_dot(shape, runs):

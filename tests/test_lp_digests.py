@@ -1,0 +1,27 @@
+import importlib.util
+import io
+import re
+from pathlib import Path
+
+from corrsched import analysis, optimizer
+
+SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "lp_digests.py"
+
+
+def test_fixture_digests_repeat_in_one_process():
+    spec = importlib.util.spec_from_file_location("lp_digests", SCRIPT)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    solvers = (optimizer.solve_lp, analysis.solve_lp)
+    outputs = []
+    for _ in range(2):
+        out = io.StringIO()
+        with module.Digests(out) as digests:
+            module.fixture_part(digests)
+        outputs.append(out.getvalue().splitlines())
+    assert (optimizer.solve_lp, analysis.solve_lp) == solvers  # unwrapped again
+    assert outputs[0] == outputs[1]
+    assert all(re.fullmatch(r"fixture \w+ \w+ ([0-9a-f]{16}|CapExceeded)", line) for line in outputs[0])
+    # each fixture's correlated LP, and the two sensor fixtures' epsilon_max LPs
+    assert sum(re.search(r" (correlated|epsilon_max) [0-9a-f]{16}$", line) is not None
+               for line in outputs[0]) == 5

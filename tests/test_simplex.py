@@ -100,7 +100,8 @@ def test_simplex_two_sensor_instance(two_sensor):
 
 
 def test_simplex_redundant_equality_rows():
-    # Duplicated equality rows force artificial cleanup of a redundant row.
+    # Duplicated equality rows: the redundant row's artificial stays basic, held at
+    # zero, and its row's dual is 0.
     sol = solve_lp(
         LpProblem(
             cost=np.array([1.0, 2.0]),
@@ -112,6 +113,7 @@ def test_simplex_redundant_equality_rows():
     )
     assert sol.status is LpStatus.OPTIMAL
     assert sol.objective == pytest.approx(1.0, abs=1e-12)
+    assert sol.duals_eq.tolist() == [1.0, 0.0]
 
 
 def test_simplex_degenerate_cycling_guard():
@@ -290,10 +292,28 @@ def test_row_and_cost_units_give_the_same_answer_or_a_refusal(rng):
     assert checked >= 100 and refused >= 40
 
 
-def test_degenerate_lps_are_certified(rng):
+def test_degenerate_lps_are_certified(rng, monkeypatch):
     # Small integer data with repeated rows: degenerate vertices whose basic
     # variables and duals come out as rounding noise around 0.  Every optimum
-    # must pass its certificate.
+    # must pass its certificate.  Phase 1 leaves artificials basic at zero in
+    # many of them; phase 2 holds them there, and an entering column with an
+    # entry past PIVOT_TOL in a held row, of either sign, takes that row at
+    # ratio 0.  A spy counts those pivots by the sign of the entry.
+    leaves = {-1.0: 0, 1.0: 0}
+    phase = {}
+    iterate, pivot = simplex._iterate, simplex._pivot
+
+    def iterate_spy(columns, cost, basis, *args, **kwargs):
+        phase.update(basis=basis, priced=len(columns))
+        return iterate(columns, cost, basis, *args, **kwargs)
+
+    def pivot_spy(binv, x_b, alpha, row):
+        if phase["basis"][row] >= phase["priced"]:
+            leaves[float(np.sign(alpha[row]))] += 1
+        pivot(binv, x_b, alpha, row)
+
+    monkeypatch.setattr(simplex, "_iterate", iterate_spy)
+    monkeypatch.setattr(simplex, "_pivot", pivot_spy)
     optimal = 0
     for _ in range(2000):
         n, m_ub, m_eq = int(rng.integers(1, 7)), int(rng.integers(0, 4)), int(rng.integers(1, 3))
@@ -310,6 +330,7 @@ def test_degenerate_lps_are_certified(rng):
             assert np.all(lp.a_ub @ sol.x <= lp.b_ub + 1e-9)
             assert np.allclose(lp.a_eq @ sol.x, lp.b_eq, atol=1e-9)
     assert optimal >= 300
+    assert leaves[-1.0] >= 1 and leaves[1.0] >= 1, leaves  # 71 and 15 of them
 
 
 def test_correlated_lp_memory_stays_near_r():
@@ -440,9 +461,9 @@ def test_block_pricing_pivots_as_a_full_pass(first, sizes, rng, monkeypatch):
 
 
 def test_block_pricing_solves_as_one_block(monkeypatch):
-    # Whole solves with phase 1 and redundant equality rows, whose artificials
-    # are driven out by the same block scan: blocks of two or three columns
-    # give the bits of a single block over every column.
+    # Whole solves with phase 1 and redundant equality rows, whose leftover
+    # artificials phase 2 holds at zero under the same block pricing: blocks of
+    # two or three columns give the bits of a single block over every column.
     answers = {}
     for first in (10**9, 2, 3):
         monkeypatch.setattr(simplex, "FIRST_BLOCK", first)
@@ -452,7 +473,7 @@ def test_block_pricing_solves_as_one_block(monkeypatch):
             n, m_ub, m_eq = int(local.integers(1, 30)), int(local.integers(0, 4)), int(local.integers(1, 3))
             a_eq = local.integers(-2, 3, (m_eq, n)).astype(float)
             b_eq = local.integers(-2, 3, m_eq).astype(float)
-            a_eq[:, : int(local.integers(0, n))] = 0.0  # the drive-out's first pivot may lie past block 1
+            a_eq[:, : int(local.integers(0, n))] = 0.0  # a held row's first entry may lie past block 1
             lp = LpProblem(
                 local.uniform(-1, 1, n),
                 np.vstack([local.uniform(-1, 1, (m_ub, n)), np.ones(n)]),  # sum(x) <= 3 bounds it
@@ -492,7 +513,8 @@ def test_two_sensor_lp_reports_its_pivots_per_phase(two_sensor):
 @pytest.mark.parametrize("field", ["cost", "a_ub", "b_ub", "a_eq", "b_eq"])
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_non_finite_coefficients_are_refused(field, bad):
-    # cost and a_ub as the correlated LP passes them: strided views of one r
+    # cost and a_ub as the correlated LP passes them: strided views of one r;
+    # solve_lp checks its own contiguous copy before any pivot
     r = np.arange(12.0).reshape(4, 3)
     fields = {
         "cost": r[:, 0],
@@ -501,7 +523,7 @@ def test_non_finite_coefficients_are_refused(field, bad):
         "a_eq": np.ones((2, 4)),
         "b_eq": np.array([1.0, 1.0]),
     }
-    LpProblem(**fields)
+    solve_lp(LpProblem(**fields))
     if field == "cost":
         r[2, 0] = bad
     elif field == "a_ub":
@@ -509,4 +531,4 @@ def test_non_finite_coefficients_are_refused(field, bad):
     else:
         fields[field][-1] = bad  # the last row
     with pytest.raises(ValueError, match="LP coefficients must be finite"):
-        LpProblem(**fields)
+        solve_lp(LpProblem(**fields))

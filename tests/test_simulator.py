@@ -144,12 +144,15 @@ def test_approx_mode_at_delay_0_stays_below_the_distributed_optimum(two_sensor, 
     assert metrics.utility <= 0.479167 + 0.005
 
 
-@pytest.mark.parametrize("runs", [1, 3])
-@pytest.mark.parametrize("mode,window", [("exact", None), ("approx", 1), ("approx", 13)])
-def test_delay_0_selection_does_not_read_its_own_slots_event(two_sensor, monkeypatch, mode, window, runs):
-    # changing slot t's joint event in every run leaves every selection up to slot t as it was
-    spec, _ = two_sensor
-    every = cs.enumerate_all(spec)
+def _check_selection_lag(spec, monkeypatch, mode, window, runs, delay):
+    """Changing slot t's joint event in every run leaves every selection through slot
+    t + lag - 1 as it was, and some (t, event) moves one at slot t + lag.
+
+    Exact mode's queues hold penalties through slot t - 1 - D, so lag = D + 1;
+    approx mode's window holds events through slot t - max(D, 1), so lag = max(D, 1).
+    """
+    lag = delay + 1 if mode == "exact" else max(delay, 1)
+    cfg = _cfg(spec, cs.enumerate_all(spec), mode, 5.0, delay, window, horizon=40)
     monkeypatch.setattr(cs.simulator, "CHUNK_SLOTS", 7)  # slots 6 and 7 sit on a chunk edge
     draw = cs.simulator.sample_event_indices
 
@@ -161,15 +164,30 @@ def test_delay_0_selection_does_not_read_its_own_slots_event(two_sensor, monkeyp
             return events
 
         monkeypatch.setattr(cs.simulator, "sample_event_indices", patched)
-        cfg = _cfg(spec, every, mode, 5.0, 0, window, horizon=40)
         _, traces, _ = cs.simulator._simulate(cfg, list(range(runs)), 1, accumulate=False)
         return np.stack([trace.strategy for trace in traces])
 
     base = strategies()
+    moved = 0
     for t in (0, 1, 6, 7, 20):
         for event in range(spec.n_events):
             changed = strategies(t, event)
-            assert np.array_equal(changed[:, : t + 1], base[:, : t + 1]), (t, event)
+            assert np.array_equal(changed[:, : t + lag], base[:, : t + lag]), (t, event)
+            moved += not np.array_equal(changed[:, t + lag], base[:, t + lag])
+    assert moved >= 1  # the lag is tight
+
+
+@pytest.mark.parametrize("runs", [1, 3])
+@pytest.mark.parametrize("mode,window", [("exact", None), ("approx", 1), ("approx", 13)])
+def test_delay_0_selection_does_not_read_its_own_slots_event(two_sensor, monkeypatch, mode, window, runs):
+    _check_selection_lag(two_sensor[0], monkeypatch, mode, window, runs, delay=0)
+
+
+@pytest.mark.parametrize("delay", [1, 4])
+@pytest.mark.parametrize("runs", [1, 3])
+@pytest.mark.parametrize("mode,window", [("exact", None), ("approx", 1), ("approx", 13)])
+def test_selection_reads_no_event_within_its_lag(two_sensor, monkeypatch, mode, window, runs, delay):
+    _check_selection_lag(two_sensor[0], monkeypatch, mode, window, runs, delay)
 
 
 def test_sim_config_rejects_event_penalties_of_another_shape(two_sensor):
