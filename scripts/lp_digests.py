@@ -6,8 +6,11 @@
 Every ``solve_lp`` call prints the corpus entry that made it and the first
 16 hex digits of the SHA-256 of its answer: status, x, objective, slack_ub,
 duals and pivots.  Run it in two checkouts on one host and ``diff`` the
-outputs; equal lines mean bit-identical answers.  The bits depend on the
-BLAS kernel, so outputs from different hosts need not agree.  An entry
+outputs; equal lines mean bit-identical answers.  An LP of at most
+``simplex.SCALAR_ENTRIES`` coefficients is solved on Python floats, so its
+line depends on the LP's input values alone: beyond its inputs (``r`` is a
+numpy product), it does not depend on the BLAS kernel.  The answers of
+larger LPs do, so outputs from different hosts need not agree.  An entry
 that ends in ``Infeasible`` or ``CapExceeded`` prints a line naming it.
 
 The corpus, in order:
@@ -103,11 +106,19 @@ def fixture_part(digests: Digests) -> None:
         digests.run(f"fixture {name} compare_policies", cs.compare_policies, build())
 
 
-def workload_part(digests: Digests) -> None:
-    sys.dont_write_bytecode = True  # leave perfbench/ as it is
+def perfbench_workloads():
+    """perfbench/workloads.py as a module, imported without writing bytecode there."""
     sys.path.insert(0, str(ROOT / "perfbench"))
-    import workloads
+    saved, sys.dont_write_bytecode = sys.dont_write_bytecode, True
+    try:
+        import workloads
+    finally:
+        sys.dont_write_bytecode = saved
+    return workloads
 
+
+def workload_part(digests: Digests) -> None:
+    workloads = perfbench_workloads()
     for workload, iterations in ((workloads.OfflineManySmall(), 20), (workloads.OfflineLp531k(), 2)):
         for i in range(iterations):
             inputs = workload.setup(WORKLOAD_SEED, i)

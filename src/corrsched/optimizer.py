@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import dataclasses
 import weakref
+from collections.abc import Callable
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
@@ -29,7 +30,7 @@ from .problem import (
     flat_event_probabilities,
     penalty_tables,
 )
-from .simplex import Infeasible, LpProblem, LpStatus, solve_lp
+from .simplex import Infeasible, LpProblem, LpSolution, LpStatus, solve_lp
 from .strategy import (
     count_all,
     count_nondecreasing,
@@ -96,19 +97,24 @@ def solve_distributed_lp(
     to is solved once per spec object and its cached policy returned; any
     other set, and an r the caller built, is solved afresh.
     """
-    if len(strategies) == 0:
-        raise ValueError("empty strategy set")
     if r is None:
         return offline_model(spec, strategies).correlated
-    m = len(strategies)
-    lp = LpProblem(
+    return _correlated_policy(strategies, r, solve_lp(_distributed_lp(spec, r)))
+
+
+def _distributed_lp(spec: ProblemSpec, r: np.ndarray) -> LpProblem:
+    if len(r) == 0:
+        raise ValueError("empty strategy set")
+    return LpProblem(
         cost=r[:, 0],
         a_ub=r[:, 1:].T,
         b_ub=np.asarray(spec.constraints),
-        a_eq=np.ones((1, m)),
+        a_eq=np.ones((1, len(r))),
         b_eq=np.array([1.0]),
     )
-    sol = solve_lp(lp)
+
+
+def _correlated_policy(strategies: np.ndarray, r: np.ndarray, sol: LpSolution) -> CorrelatedPolicy:
     if sol.status is not LpStatus.OPTIMAL:
         raise Infeasible(f"distributed LP is {sol.status.value}")
     theta = sol.x
@@ -122,7 +128,13 @@ def solve_distributed_lp(
     )
 
 
-def _solve_centralized(spec: ProblemSpec) -> CentralizedPolicy:
+def _solve_centralized(
+    spec: ProblemSpec, solved: Callable[[], LpSolution] | None = None
+) -> CentralizedPolicy:
+    """The centralized policy; solved(), when given, returns this LP's answer, solved already.
+
+    The cap is checked before solved() is called.
+    """
     n_o = spec.n_events
     n_a = spec.n_actions
     n_var = n_o * n_a
@@ -133,15 +145,18 @@ def _solve_centralized(spec: ProblemSpec) -> CentralizedPolicy:
     weighted = tables * pi[None, :, None]
     cost = weighted[0].reshape(-1)
     a_ub = weighted[1:].reshape(spec.n_constraints, n_var)
-    sol = solve_lp(
-        LpProblem(
-            cost=cost,
-            a_ub=a_ub,
-            b_ub=np.asarray(spec.constraints),
-            a_eq=np.kron(np.eye(n_o), np.ones(n_a)),  # row w sums theta(. | w)
-            b_eq=np.ones(n_o),
+    if solved is None:
+        sol = solve_lp(
+            LpProblem(
+                cost=cost,
+                a_ub=a_ub,
+                b_ub=np.asarray(spec.constraints),
+                a_eq=np.kron(np.eye(n_o), np.ones(n_a)),  # row w sums theta(. | w)
+                b_eq=np.ones(n_o),
+            )
         )
-    )
+    else:
+        sol = solved()
     if sol.status is not LpStatus.OPTIMAL:
         raise Infeasible(f"centralized LP is {sol.status.value}")
     return CentralizedPolicy(
@@ -204,6 +219,10 @@ class OfflineModel:
 
     def __init__(self, spec: ProblemSpec, strategies: np.ndarray | None = None):
         self._spec = weakref.ref(spec)
+        # With one event, a strategy is a joint action and the resolved set
+        # lists every joint action in index order, so the correlated LP over
+        # it is the centralized LP: one solve answers both.
+        self._one_lp = strategies is None and spec.n_events == 1
         if strategies is not None:
             self.__dict__["strategies"] = strategies
 
@@ -232,12 +251,16 @@ class OfflineModel:
         return _read_only(r_matrix(self.spec, self.strategies, self.event_penalties))
 
     @cached_property
+    def _correlated_solution(self) -> LpSolution:
+        return solve_lp(_distributed_lp(self.spec, self.r))
+
+    @cached_property
     def _correlated(self) -> CorrelatedPolicy:
-        return solve_distributed_lp(self.spec, self.strategies, r=self.r)
+        return _correlated_policy(self.strategies, self.r, self._correlated_solution)
 
     @cached_property
     def _centralized(self) -> CentralizedPolicy:
-        return _solve_centralized(self.spec)
+        return _solve_centralized(self.spec, (lambda: self._correlated_solution) if self._one_lp else None)
 
     # Each read returns a copy of the cached policy: a caller may reassign its
     # fields, and its arrays and tuples, shared with the cache, are read-only.

@@ -1,9 +1,11 @@
+import importlib.util
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from corrsched import fixtures
+from corrsched import fixtures, simplex
 
 
 @pytest.fixture(scope="session")
@@ -45,3 +47,41 @@ def count_calls(monkeypatch):
         return calls
 
     return install
+
+
+@pytest.fixture
+def lp_paths(monkeypatch):
+    """lp_paths() runs a loop body once on each path of solve_lp, yielding its suffix.
+
+    First Python floats, then numpy arrays with SCALAR_ENTRIES patched to 0.
+    On each, the other path's ``_iterate`` fails the test if an LP reaches
+    it.  The suffix names the path's functions: ``_iterate`` + suffix and
+    ``_pivot`` + suffix.
+    """
+    original = {name: getattr(simplex, name) for name in ("SCALAR_ENTRIES", "_iterate", "_iterate_floats")}
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("an LP reached the other path of solve_lp")
+
+    def paths():
+        for suffix, entries, other in (
+            ("_floats", original["SCALAR_ENTRIES"], "_iterate"),
+            ("", 0, "_iterate_floats"),
+        ):
+            for name in ("_iterate", "_iterate_floats"):
+                monkeypatch.setattr(simplex, name, original[name])
+            monkeypatch.setattr(simplex, "SCALAR_ENTRIES", entries)
+            monkeypatch.setattr(simplex, other, refuse)
+            yield suffix
+
+    return paths
+
+
+@pytest.fixture
+def lp_digests():
+    """scripts/lp_digests.py, loaded as a module."""
+    path = Path(__file__).resolve().parent.parent / "scripts" / "lp_digests.py"
+    spec = importlib.util.spec_from_file_location("lp_digests", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module

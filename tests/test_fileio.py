@@ -1,6 +1,9 @@
 import dataclasses
 import hashlib
 import json
+import os
+import subprocess
+import sys
 import typing
 import warnings
 from pathlib import Path
@@ -348,6 +351,38 @@ def test_cli_outputs_match_their_digests(tmp_path, capsys, name):
     assert code == 0 and _sha(out) == analyze_sha
 
 
+def _openblas_dynamic_arch() -> bool:
+    """Whether numpy's BLAS is an OpenBLAS that picks its kernels at load time."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except (TypeError, KeyError):  # numpy before 1.26 has no mode
+        return False
+    return "openblas" in blas.get("name", "") and "DYNAMIC_ARCH" in blas.get("openblas configuration", "")
+
+
+@pytest.mark.skipif(not _openblas_dynamic_arch(), reason="numpy's BLAS is not an OpenBLAS with DYNAMIC_ARCH")
+@pytest.mark.parametrize("blas_env", [
+    {"OPENBLAS_CORETYPE": "Haswell"},
+    {"OPENBLAS_CORETYPE": "Sandybridge"},
+    {"OPENBLAS_NUM_THREADS": "1"},
+], ids=lambda env: "=".join(*env.items()))
+def test_lp_only_cli_digests_hold_under_other_blas_kernels(blas_env):
+    # The two-sensor and counterexample CLI digests, whose LPs solve on
+    # Python floats, must not depend on the kernels OpenBLAS picks.  OpenBLAS
+    # reads these variables when it loads, so each setting gets a child
+    # process of its own.
+    cases = [f"{__file__}::test_cli_outputs_match_their_digests[{name}]" for name in ("two_sensor", "counterexample")]
+    child = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", *cases],
+        cwd=FIXDIR.parent,
+        env={**os.environ, **blas_env},
+        capture_output=True,
+        text=True,
+        timeout=600,
+    )
+    assert child.returncode == 0, child.stdout[-3000:] + child.stderr[-3000:]
+
+
 @pytest.mark.parametrize("name", ["two_sensor", "counterexample"])
 @pytest.mark.parametrize("command", ["solve", "analyze", "compare", "simulate"])
 def test_cli_command_builds_each_event_tensor_once(tmp_path, capsys, count_calls, name, command):
@@ -512,12 +547,13 @@ def test_cli_infeasible_is_one_line(tmp_path, capsys):
     assert "Infeasible" in err
 
 
-def test_cli_certificate_failure_is_one_line(tmp_path, capsys):
+def test_cli_certificate_failure_is_one_line(tmp_path, capsys, lp_paths):
     # at 1e-10 of its units the two-sensor LP stops at a vertex that is not optimal
     spec = _spec_file(tmp_path, fileio.spec_to_dict(scaled_spec(fixtures.two_sensor_spec(), 1e-10)))
-    err = _cli_error(capsys, ["solve", "--spec", spec, "--out", str(tmp_path / "x.json")])
-    assert "CertificateError: simplex optimum failed its certificate" in err
-    assert not (tmp_path / "x.json").exists()
+    for _ in lp_paths():
+        err = _cli_error(capsys, ["solve", "--spec", spec, "--out", str(tmp_path / "x.json")])
+        assert "CertificateError: simplex optimum failed its certificate" in err
+        assert not (tmp_path / "x.json").exists()
 
 
 def test_cli_cap_exceeded_is_one_line(tmp_path, capsys):

@@ -1,23 +1,16 @@
-import importlib.util
 import io
 import re
-from pathlib import Path
 
 from corrsched import analysis, optimizer
 
-SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "lp_digests.py"
 
-
-def test_fixture_digests_repeat_in_one_process():
-    spec = importlib.util.spec_from_file_location("lp_digests", SCRIPT)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
+def test_fixture_digests_repeat_in_one_process(lp_digests):
     solvers = (optimizer.solve_lp, analysis.solve_lp)
     outputs = []
     for _ in range(2):
         out = io.StringIO()
-        with module.Digests(out) as digests:
-            module.fixture_part(digests)
+        with lp_digests.Digests(out) as digests:
+            lp_digests.fixture_part(digests)
         outputs.append(out.getvalue().splitlines())
     assert (optimizer.solve_lp, analysis.solve_lp) == solvers  # unwrapped again
     assert outputs[0] == outputs[1]

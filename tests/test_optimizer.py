@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import corrsched as cs
-from corrsched import fixtures, strategy
+from corrsched import fixtures, optimizer, strategy
 from corrsched.simplex import Infeasible
 
 import oracles
@@ -188,8 +188,28 @@ def _caller_set(spec):
     return cs.enumerate_nondecreasing(spec) if cs.prune_applicable(spec) else cs.enumerate_all(spec)
 
 
-@pytest.mark.parametrize("make", [fixtures.two_sensor_spec, fixtures.counterexample_spec])
-def test_one_spec_solves_its_two_lps_once(make, count_calls):
+def _one_event_spec():
+    """Two users with one event each: a strategy is a joint action."""
+    one = np.ones(1)
+    return cs.ProblemSpec(
+        action_sizes=(2, 3),
+        event_sizes=(1, 1),
+        distribution=cs.ProductDistribution((one, one)),
+        penalties=(
+            cs.FullTable(np.array([[0.3, -0.9, -0.2, -0.7, 0.1, -0.4]])),
+            cs.FullTable(np.array([[0.1, 0.8, 0.5, 0.6, 0.2, 0.7]])),
+        ),
+        constraints=(0.45,),
+    )
+
+
+@pytest.mark.parametrize("make,n_lps", [
+    pytest.param(fixtures.two_sensor_spec, 2, id="two_sensor_spec"),
+    pytest.param(fixtures.counterexample_spec, 2, id="counterexample_spec"),
+    # the correlated LP over every joint action is the centralized LP
+    pytest.param(_one_event_spec, 1, id="one_event_spec"),
+])
+def test_one_spec_solves_its_two_lps_once(make, n_lps, count_calls):
     # four solves before the offline model: compare_policies solved both LPs again
     spec = make()
     lps = count_calls("solve_lp")
@@ -198,7 +218,7 @@ def test_one_spec_solves_its_two_lps_once(make, count_calls):
     report = cs.compare_policies(spec)
     assert cs.solve_distributed_lp(spec, _caller_set(spec)).support is distributed.support
     assert cs.solve_centralized_lp(spec).conditionals is centralized.conditionals
-    assert len(lps) == 2
+    assert len(lps) == n_lps
     assert (report.distributed_opt, report.centralized_opt) == (distributed.utility, centralized.utility)
     # the cached answers are those of a fresh solve, bit for bit
     strategies = _caller_set(spec)
@@ -206,6 +226,9 @@ def test_one_spec_solves_its_two_lps_once(make, count_calls):
     assert fresh.objective == distributed.objective
     assert fresh.support_indices == distributed.support_indices
     assert np.array_equal(fresh.achieved_constraints, distributed.achieved_constraints)
+    alone = optimizer._solve_centralized(spec)
+    for field in ("conditionals", "objective", "achieved_constraints"):
+        assert np.asarray(getattr(alone, field)).tobytes() == np.asarray(getattr(centralized, field)).tobytes()
 
 
 def test_other_sets_and_given_r_are_solved_afresh(count_calls):

@@ -99,21 +99,21 @@ def test_simplex_two_sensor_instance(two_sensor):
     assert sol.objective == pytest.approx(brute_force_lp(lp), abs=1e-9)
 
 
-def test_simplex_redundant_equality_rows():
+def test_simplex_redundant_equality_rows(lp_paths):
     # Duplicated equality rows: the redundant row's artificial stays basic, held at
     # zero, and its row's dual is 0.
-    sol = solve_lp(
-        LpProblem(
-            cost=np.array([1.0, 2.0]),
-            a_ub=np.zeros((0, 2)),
-            b_ub=np.zeros(0),
-            a_eq=np.array([[1.0, 1.0], [1.0, 1.0]]),
-            b_eq=np.array([1.0, 1.0]),
-        )
+    lp = LpProblem(
+        cost=np.array([1.0, 2.0]),
+        a_ub=np.zeros((0, 2)),
+        b_ub=np.zeros(0),
+        a_eq=np.array([[1.0, 1.0], [1.0, 1.0]]),
+        b_eq=np.array([1.0, 1.0]),
     )
-    assert sol.status is LpStatus.OPTIMAL
-    assert sol.objective == pytest.approx(1.0, abs=1e-12)
-    assert sol.duals_eq.tolist() == [1.0, 0.0]
+    for _ in lp_paths():
+        sol = solve_lp(lp)
+        assert sol.status is LpStatus.OPTIMAL
+        assert sol.objective == pytest.approx(1.0, abs=1e-12)
+        assert sol.duals_eq.tolist() == [1.0, 0.0]
 
 
 def test_simplex_degenerate_cycling_guard():
@@ -222,30 +222,32 @@ def test_complementary_slackness(two_sensor, rng):
 
 
 @pytest.mark.parametrize("limit,phase", [(0, 1), (1, 1), (2, 2), (3, 2)])
-def test_iteration_limit_is_typed(limit, phase):
+def test_iteration_limit_is_typed(limit, phase, lp_paths):
     # the two-sensor LP needs an artificial for its equality row, so phase 1
     # runs first: it takes one pivot, phase 2 three, and each phase spends one
     # more loop pass finding that it is optimal; a limit of 4 solves it.  A
     # spec of its own: no cached answer may stand in for the patched solve.
-    spec = fixtures.two_sensor_spec()
-    strategies = fixtures.two_sensor_strategies(spec)
-    with mock.patch.object(simplex, "_iteration_limit", lambda m, n: limit):
-        with pytest.raises(IterationLimit) as info:
-            cs.solve_distributed_lp(spec, strategies)
-    assert (info.value.phase, info.value.pivots) == (phase, limit)
-    assert f"phase {phase}" in str(info.value)
+    for _ in lp_paths():
+        spec = fixtures.two_sensor_spec()
+        strategies = fixtures.two_sensor_strategies(spec)
+        with mock.patch.object(simplex, "_iteration_limit", lambda m, n: limit):
+            with pytest.raises(IterationLimit) as info:
+                cs.solve_distributed_lp(spec, strategies)
+        assert (info.value.phase, info.value.pivots) == (phase, limit)
+        assert f"phase {phase}" in str(info.value)
 
 
 @pytest.mark.parametrize("lam", [1e-10, 3e-10, 1e-9])
-def test_scaled_two_sensor_lp_is_refused(lam):
+def test_scaled_two_sensor_lp_is_refused(lam, lp_paths):
     # Far below unit scale the reduced costs are smaller than the absolute
     # PIVOT_TOL, so Bland's rule stops at a vertex that is not optimal, with
     # the objectives 0, -lam/3 and -17 lam/36 in place of -23 lam/48.  The
     # certificate judges each reduced cost against its column's scale and
     # refuses the vertex.
-    spec = scaled_spec(fixtures.two_sensor_spec(), lam)
-    with pytest.raises(CertificateError, match="reduced cost of column"):
-        cs.solve_distributed_lp(spec, cs.enumerate_all(spec))
+    for _ in lp_paths():
+        spec = scaled_spec(fixtures.two_sensor_spec(), lam)
+        with pytest.raises(CertificateError, match="reduced cost of column"):
+            cs.solve_distributed_lp(spec, cs.enumerate_all(spec))
 
 
 @pytest.mark.parametrize("lam", [3e-9, 1.0])
@@ -292,29 +294,15 @@ def test_row_and_cost_units_give_the_same_answer_or_a_refusal(rng):
     assert checked >= 100 and refused >= 40
 
 
-def test_degenerate_lps_are_certified(rng, monkeypatch):
+def test_degenerate_lps_are_certified(rng, monkeypatch, lp_paths):
     # Small integer data with repeated rows: degenerate vertices whose basic
     # variables and duals come out as rounding noise around 0.  Every optimum
     # must pass its certificate.  Phase 1 leaves artificials basic at zero in
     # many of them; phase 2 holds them there, and an entering column with an
     # entry past PIVOT_TOL in a held row, of either sign, takes that row at
-    # ratio 0.  A spy counts those pivots by the sign of the entry.
-    leaves = {-1.0: 0, 1.0: 0}
-    phase = {}
-    iterate, pivot = simplex._iterate, simplex._pivot
-
-    def iterate_spy(columns, cost, basis, *args, **kwargs):
-        phase.update(basis=basis, priced=len(columns))
-        return iterate(columns, cost, basis, *args, **kwargs)
-
-    def pivot_spy(binv, x_b, alpha, row):
-        if phase["basis"][row] >= phase["priced"]:
-            leaves[float(np.sign(alpha[row]))] += 1
-        pivot(binv, x_b, alpha, row)
-
-    monkeypatch.setattr(simplex, "_iterate", iterate_spy)
-    monkeypatch.setattr(simplex, "_pivot", pivot_spy)
-    optimal = 0
+    # ratio 0.  Spies on each path's iterate and pivot count those pivots by
+    # the sign of the entry.
+    lps = []
     for _ in range(2000):
         n, m_ub, m_eq = int(rng.integers(1, 7)), int(rng.integers(0, 4)), int(rng.integers(1, 3))
         a_ub = rng.integers(-3, 4, (m_ub, n)).astype(float)
@@ -323,14 +311,32 @@ def test_degenerate_lps_are_certified(rng, monkeypatch):
         b_eq = rng.integers(-2, 3, m_eq).astype(float)
         k = float(rng.choice([1.0, -1.0, 2.0]))  # a redundant copy of an equality row
         a_eq, b_eq = np.vstack([a_eq, k * a_eq[:1]]), np.append(b_eq, k * b_eq[0])
-        lp = LpProblem(rng.integers(-3, 4, n).astype(float), a_ub, b_ub, a_eq, b_eq)
-        sol = solve_lp(lp)
-        if sol.status is LpStatus.OPTIMAL:
-            optimal += 1
-            assert np.all(lp.a_ub @ sol.x <= lp.b_ub + 1e-9)
-            assert np.allclose(lp.a_eq @ sol.x, lp.b_eq, atol=1e-9)
-    assert optimal >= 300
-    assert leaves[-1.0] >= 1 and leaves[1.0] >= 1, leaves  # 71 and 15 of them
+        lps.append(LpProblem(rng.integers(-3, 4, n).astype(float), a_ub, b_ub, a_eq, b_eq))
+    for path in lp_paths():
+        leaves = {-1.0: 0, 1.0: 0}
+        phase = {}
+        iterate, pivot = (getattr(simplex, name + path) for name in ("_iterate", "_pivot"))
+
+        def iterate_spy(columns, cost, basis, *args, **kwargs):
+            phase.update(basis=basis, priced=len(columns))
+            return iterate(columns, cost, basis, *args, **kwargs)
+
+        def pivot_spy(binv, x_b, alpha, row):
+            if phase["basis"][row] >= phase["priced"]:
+                leaves[float(np.sign(alpha[row]))] += 1
+            pivot(binv, x_b, alpha, row)
+
+        monkeypatch.setattr(simplex, "_iterate" + path, iterate_spy)
+        monkeypatch.setattr(simplex, "_pivot" + path, pivot_spy)
+        optimal = 0
+        for lp in lps:
+            sol = solve_lp(lp)
+            if sol.status is LpStatus.OPTIMAL:
+                optimal += 1
+                assert np.all(lp.a_ub @ sol.x <= lp.b_ub + 1e-9)
+                assert np.allclose(lp.a_eq @ sol.x, lp.b_eq, atol=1e-9)
+        assert optimal >= 300
+        assert leaves[-1.0] >= 1 and leaves[1.0] >= 1, leaves  # 71 and 15 of them on both paths
 
 
 def test_correlated_lp_memory_stays_near_r():
@@ -512,23 +518,90 @@ def test_two_sensor_lp_reports_its_pivots_per_phase(two_sensor):
 
 @pytest.mark.parametrize("field", ["cost", "a_ub", "b_ub", "a_eq", "b_eq"])
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-def test_non_finite_coefficients_are_refused(field, bad):
+def test_non_finite_coefficients_are_refused(field, bad, lp_paths):
     # cost and a_ub as the correlated LP passes them: strided views of one r;
-    # solve_lp checks its own contiguous copy before any pivot
-    r = np.arange(12.0).reshape(4, 3)
-    fields = {
-        "cost": r[:, 0],
-        "a_ub": r[:, 1:].T,
-        "b_ub": np.array([1.0, 2.0]),
-        "a_eq": np.ones((2, 4)),
-        "b_eq": np.array([1.0, 1.0]),
-    }
-    solve_lp(LpProblem(**fields))
-    if field == "cost":
-        r[2, 0] = bad
-    elif field == "a_ub":
-        r[3, 2] = bad  # the last entry of the view's second row
-    else:
-        fields[field][-1] = bad  # the last row
-    with pytest.raises(ValueError, match="LP coefficients must be finite"):
+    # each path checks the values it copied before any pivot
+    for _ in lp_paths():
+        r = np.arange(12.0).reshape(4, 3)
+        fields = {
+            "cost": r[:, 0],
+            "a_ub": r[:, 1:].T,
+            "b_ub": np.array([1.0, 2.0]),
+            "a_eq": np.ones((2, 4)),
+            "b_eq": np.array([1.0, 1.0]),
+        }
         solve_lp(LpProblem(**fields))
+        if field == "cost":
+            r[2, 0] = bad
+        elif field == "a_ub":
+            r[3, 2] = bad  # the last entry of the view's second row
+        else:
+            fields[field][-1] = bad  # the last row
+        with pytest.raises(ValueError, match="LP coefficients must be finite"):
+            solve_lp(LpProblem(**fields))
+
+
+def _answer(sol):
+    """An LpSolution's status, pivots and the bytes of its numbers."""
+    return (sol.status, sol.pivots, *(
+        None if v is None else np.asarray(v).tobytes()
+        for v in (sol.x, sol.objective, sol.slack_ub, sol.duals_ub, sol.duals_eq)
+    ))
+
+
+def test_tiny_lp_answers_do_not_depend_on_the_input_layout():
+    # The correlated LP passes cost and a_ub as strided views of r; the same
+    # values in contiguous arrays must give the same bits.  Products of numpy
+    # arrays need not: with cost @ x and a_ub @ x on the views, 35 of these
+    # 200 LPs returned another objective or slack_ub.
+    local = np.random.default_rng(11)
+    for _ in range(200):
+        n = int(local.integers(2, 25))
+        r = np.column_stack([local.uniform(-1, 1, n), local.uniform(0, 1, (n, 2))])
+        b = r[local.integers(0, n), 1:] + local.uniform(0, 0.3, 2)
+        views = LpProblem(r[:, 0], r[:, 1:].T, b, np.ones((1, n)), np.ones(1))
+        copies = LpProblem(r[:, 0].copy(), np.ascontiguousarray(r[:, 1:].T), b, np.ones((1, n)), np.ones(1))
+        assert _answer(solve_lp(views)) == _answer(solve_lp(copies))
+
+
+def test_float_and_array_paths_agree_on_the_corpus(lp_digests):
+    # The LPs of scripts/lp_digests.py's corpus below SCALAR_ENTRIES, with two
+    # offline-many-small batches for its twenty and none of offline-lp-531k:
+    # the same status, support and pivots per phase on both paths, and x, the
+    # objective and the duals within 1e-12 of each one's largest magnitude.
+    lps = []
+
+    class Recorder(lp_digests.Digests):
+        def wrap(self, solve):
+            def record(problem):
+                lps.append((self.entry, problem))
+                return solve(problem)
+
+            return record
+
+    many = lp_digests.perfbench_workloads().OfflineManySmall()
+    with Recorder() as recorder:
+        lp_digests.fixture_part(recorder)
+        for i in range(2):
+            recorder.run(f"{many.name} {i}", many.run, many.setup(lp_digests.WORKLOAD_SEED, i))
+        lp_digests.specgen_part(recorder)
+    sizes = [len(lp.cost) * (len(lp.b_ub) + len(lp.b_eq)) for _, lp in lps]
+    assert all(size <= simplex.SCALAR_ENTRIES for (entry, _), size in zip(lps, sizes)
+               if entry.startswith(many.name))
+    tiny = [(entry, lp) for (entry, lp), size in zip(lps, sizes) if size <= simplex.SCALAR_ENTRIES]
+    assert sum(entry.startswith(many.name) for entry, _ in tiny) == 204  # 120 a batch, 18 one-event
+    # all but the three-sensor fixture's correlated LP, its epsilon_max LP and
+    # compare_policies' correlated LP on a fresh copy of its spec
+    assert len(lps) - len(tiny) == 3
+    for entry, lp in tiny:
+        floats = solve_lp(lp)
+        with mock.patch.object(simplex, "SCALAR_ENTRIES", 0):
+            arrays = solve_lp(lp)
+        assert (floats.status, floats.pivots) == (arrays.status, arrays.pivots), entry
+        if floats.status is not LpStatus.OPTIMAL:
+            continue
+        assert np.array_equal(np.flatnonzero(floats.x), np.flatnonzero(arrays.x)), entry
+        for a, b in ((floats.x, arrays.x), (floats.objective, arrays.objective),
+                     (floats.duals_ub, arrays.duals_ub), (floats.duals_eq, arrays.duals_eq)):
+            a, b = np.atleast_1d(a), np.atleast_1d(b)
+            assert np.abs(a - b).max(initial=0.0) <= 1e-12 * np.abs(b).max(initial=0.0), entry
