@@ -23,6 +23,7 @@ from itertools import combinations
 
 import numpy as np
 
+from . import simplex
 from .online import compute_B, compute_F
 from .problem import (
     CapExceeded,
@@ -221,8 +222,15 @@ class OfflineModel:
         self._spec = weakref.ref(spec)
         # With one event, a strategy is a joint action and the resolved set
         # lists every joint action in index order, so the correlated LP over
-        # it is the centralized LP: one solve answers both.
-        self._one_lp = strategies is None and spec.n_events == 1
+        # it is the centralized LP: one solve answers both.  Only on the float
+        # path, whose answer depends on the LP's values alone; on numpy arrays
+        # cost @ x over the correlated LP's strided views of r can differ in
+        # the last bit from the centralized LP's own solve.
+        self._one_lp = (
+            strategies is None
+            and spec.n_events == 1
+            and spec.n_actions * (spec.n_constraints + 1) <= simplex.SCALAR_ENTRIES
+        )
         if strategies is not None:
             self.__dict__["strategies"] = strategies
 

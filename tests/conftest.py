@@ -53,8 +53,8 @@ def count_calls(monkeypatch):
 def lp_paths(monkeypatch):
     """lp_paths() runs a loop body once on each path of solve_lp, yielding its suffix.
 
-    First Python floats, then numpy arrays with SCALAR_ENTRIES patched to 0.
-    On each, the other path's ``_iterate`` fails the test if an LP reaches
+    First Python floats, then numpy arrays with SCALAR_ENTRIES patched to -1
+    (an LP with no rows has n * m = 0).  On each, the other path's ``_iterate`` fails the test if an LP reaches
     it.  The suffix names the path's functions: ``_iterate`` + suffix and
     ``_pivot`` + suffix.
     """
@@ -66,7 +66,7 @@ def lp_paths(monkeypatch):
     def paths():
         for suffix, entries, other in (
             ("_floats", original["SCALAR_ENTRIES"], "_iterate"),
-            ("", 0, "_iterate_floats"),
+            ("", -1, "_iterate_floats"),
         ):
             for name in ("_iterate", "_iterate_floats"):
                 monkeypatch.setattr(simplex, name, original[name])

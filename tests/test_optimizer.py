@@ -203,11 +203,27 @@ def _one_event_spec():
     )
 
 
+def _one_event_spec_past_the_float_path():
+    """154 joint actions and one constraint: an LP of 154 x 2 > SCALAR_ENTRIES entries."""
+    rng = np.random.default_rng(3)
+    one = np.ones(1)
+    return cs.ProblemSpec(
+        action_sizes=(11, 14),
+        event_sizes=(1, 1),
+        distribution=cs.ProductDistribution((one, one)),
+        penalties=(cs.FullTable(rng.uniform(-1, 1, (1, 154))), cs.FullTable(rng.uniform(0, 1, (1, 154)))),
+        constraints=(0.45,),
+    )
+
+
 @pytest.mark.parametrize("make,n_lps", [
     pytest.param(fixtures.two_sensor_spec, 2, id="two_sensor_spec"),
     pytest.param(fixtures.counterexample_spec, 2, id="counterexample_spec"),
     # the correlated LP over every joint action is the centralized LP
     pytest.param(_one_event_spec, 1, id="one_event_spec"),
+    # the same LP on numpy arrays: solved twice, so the centralized policy
+    # does not take the bits of the correlated LP's strided views
+    pytest.param(_one_event_spec_past_the_float_path, 2, id="one_event_spec_past_the_float_path"),
 ])
 def test_one_spec_solves_its_two_lps_once(make, n_lps, count_calls):
     # four solves before the offline model: compare_policies solved both LPs again

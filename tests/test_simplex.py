@@ -42,45 +42,43 @@ def brute_force_lp(problem, tol=1e-9):
     return best
 
 
-def test_simplex_trivial_example():
-    sol = solve_lp(
-        LpProblem(
-            cost=np.array([-1.0, 0.0]),
-            a_ub=np.zeros((0, 2)),
-            b_ub=np.zeros(0),
-            a_eq=np.ones((1, 2)),
-            b_eq=np.array([1.0]),
-        )
+def test_simplex_trivial_example(lp_paths):
+    lp = LpProblem(
+        cost=np.array([-1.0, 0.0]),
+        a_ub=np.zeros((0, 2)),
+        b_ub=np.zeros(0),
+        a_eq=np.ones((1, 2)),
+        b_eq=np.array([1.0]),
     )
-    assert sol.status is LpStatus.OPTIMAL
-    assert sol.objective == pytest.approx(-1.0, abs=1e-12)
-    assert np.allclose(sol.x, [1.0, 0.0], atol=1e-12)
+    for _ in lp_paths():
+        sol = solve_lp(lp)
+        assert sol.status is LpStatus.OPTIMAL
+        assert sol.objective == pytest.approx(-1.0, abs=1e-12)
+        assert np.allclose(sol.x, [1.0, 0.0], atol=1e-12)
 
 
-def test_simplex_infeasible():
-    sol = solve_lp(
-        LpProblem(
-            cost=np.array([1.0]),
-            a_ub=np.array([[1.0]]),
-            b_ub=np.array([-1.0]),
-            a_eq=np.zeros((0, 1)),
-            b_eq=np.zeros(0),
-        )
+def test_simplex_infeasible(lp_paths):
+    lp = LpProblem(
+        cost=np.array([1.0]),
+        a_ub=np.array([[1.0]]),
+        b_ub=np.array([-1.0]),
+        a_eq=np.zeros((0, 1)),
+        b_eq=np.zeros(0),
     )
-    assert sol.status is LpStatus.INFEASIBLE
+    for _ in lp_paths():
+        assert solve_lp(lp).status is LpStatus.INFEASIBLE
 
 
-def test_simplex_unbounded():
-    sol = solve_lp(
-        LpProblem(
-            cost=np.array([-1.0]),
-            a_ub=np.zeros((0, 1)),
-            b_ub=np.zeros(0),
-            a_eq=np.zeros((0, 1)),
-            b_eq=np.zeros(0),
-        )
+def test_simplex_unbounded(lp_paths):
+    lp = LpProblem(
+        cost=np.array([-1.0]),
+        a_ub=np.zeros((0, 1)),
+        b_ub=np.zeros(0),
+        a_eq=np.zeros((0, 1)),
+        b_eq=np.zeros(0),
     )
-    assert sol.status is LpStatus.UNBOUNDED
+    for _ in lp_paths():
+        assert solve_lp(lp).status is LpStatus.UNBOUNDED
 
 
 def test_simplex_two_sensor_instance(two_sensor):
@@ -116,7 +114,7 @@ def test_simplex_redundant_equality_rows(lp_paths):
         assert sol.duals_eq.tolist() == [1.0, 0.0]
 
 
-def test_simplex_degenerate_cycling_guard():
+def test_simplex_degenerate_cycling_guard(lp_paths):
     # A classically degenerate instance; Bland's rule must terminate.
     lp = LpProblem(
         cost=np.array([-0.75, 150.0, -0.02, 6.0]),
@@ -131,13 +129,14 @@ def test_simplex_degenerate_cycling_guard():
         a_eq=np.zeros((0, 4)),
         b_eq=np.zeros(0),
     )
-    sol = solve_lp(lp)
-    assert sol.status is LpStatus.OPTIMAL
-    assert sol.objective == pytest.approx(brute_force_lp(lp), abs=1e-9)
+    for _ in lp_paths():
+        sol = solve_lp(lp)
+        assert sol.status is LpStatus.OPTIMAL
+        assert sol.objective == pytest.approx(brute_force_lp(lp), abs=1e-9)
 
 
-def test_simplex_matches_brute_force_on_random_lps(rng):
-    solved = 0
+def test_simplex_matches_brute_force_on_random_lps(rng, lp_paths):
+    lps = []
     for _ in range(40):
         n = int(rng.integers(1, 5))
         m_ub = int(rng.integers(0, 4))
@@ -149,21 +148,24 @@ def test_simplex_matches_brute_force_on_random_lps(rng):
             a_eq=rng.uniform(-1, 1, (m_eq, n)),
             b_eq=rng.uniform(-0.2, 1, m_eq),
         )
-        sol = solve_lp(lp)
-        ref = brute_force_lp(lp)
-        if sol.status is LpStatus.OPTIMAL:
-            solved += 1
-            assert ref is not None
-            # brute force has no unboundedness check, so it can only confirm
-            # the optimum when one exists
-            assert sol.objective <= ref + 1e-9
-            assert sol.objective >= ref - 1e-9
-            assert np.all(lp.a_ub @ sol.x <= lp.b_ub + 1e-9)
-            assert np.allclose(lp.a_eq @ sol.x, lp.b_eq, atol=1e-9)
-            assert np.all(sol.x >= -1e-12)
-        elif sol.status is LpStatus.INFEASIBLE:
-            assert ref is None
-    assert solved >= 10
+        lps.append((lp, brute_force_lp(lp)))
+    for _ in lp_paths():
+        solved = 0
+        for lp, ref in lps:
+            sol = solve_lp(lp)
+            if sol.status is LpStatus.OPTIMAL:
+                solved += 1
+                assert ref is not None
+                # brute force has no unboundedness check, so it can only confirm
+                # the optimum when one exists
+                assert sol.objective <= ref + 1e-9
+                assert sol.objective >= ref - 1e-9
+                assert np.all(lp.a_ub @ sol.x <= lp.b_ub + 1e-9)
+                assert np.allclose(lp.a_eq @ sol.x, lp.b_eq, atol=1e-9)
+                assert np.all(sol.x >= -1e-12)
+            elif sol.status is LpStatus.INFEASIBLE:
+                assert ref is None
+        assert solved >= 10
 
 
 def test_simplex_solution_is_basic(two_sensor):
@@ -181,7 +183,7 @@ def test_simplex_solution_is_basic(two_sensor):
     assert np.count_nonzero(np.abs(sol.x) > 1e-12) <= 3
 
 
-def test_complementary_slackness(two_sensor, rng):
+def test_complementary_slackness(two_sensor, rng, lp_paths):
     spec, strategies = two_sensor
     r = cs.r_matrix(spec, strategies)
     problems = [
@@ -205,20 +207,21 @@ def test_complementary_slackness(two_sensor, rng):
                 b_eq=np.array([1.0]),
             )
         )
-    checked = 0
-    for lp in problems:
-        sol = solve_lp(lp)
-        if sol.status is not LpStatus.OPTIMAL:
-            continue
-        checked += 1
-        # primal-dual objective agreement and complementary slackness
-        dual_obj = float(sol.duals_ub @ lp.b_ub + sol.duals_eq @ lp.b_eq)
-        assert dual_obj == pytest.approx(sol.objective, abs=1e-7)
-        reduced = lp.cost - sol.duals_ub @ lp.a_ub - sol.duals_eq @ lp.a_eq
-        assert np.all(reduced >= -1e-7)
-        assert np.max(np.abs(reduced * sol.x)) <= 1e-7
-        assert np.max(np.abs(sol.duals_ub * sol.slack_ub)) <= 1e-7
-    assert checked >= 10
+    for _ in lp_paths():
+        checked = 0
+        for lp in problems:
+            sol = solve_lp(lp)
+            if sol.status is not LpStatus.OPTIMAL:
+                continue
+            checked += 1
+            # primal-dual objective agreement and complementary slackness
+            dual_obj = float(sol.duals_ub @ lp.b_ub + sol.duals_eq @ lp.b_eq)
+            assert dual_obj == pytest.approx(sol.objective, abs=1e-7)
+            reduced = lp.cost - sol.duals_ub @ lp.a_ub - sol.duals_eq @ lp.a_eq
+            assert np.all(reduced >= -1e-7)
+            assert np.max(np.abs(reduced * sol.x)) <= 1e-7
+            assert np.max(np.abs(sol.duals_ub * sol.slack_ub)) <= 1e-7
+        assert checked >= 10
 
 
 @pytest.mark.parametrize("limit,phase", [(0, 1), (1, 1), (2, 2), (3, 2)])
@@ -257,11 +260,11 @@ def test_scaled_two_sensor_lp_is_certified(lam):
     assert policy.objective == pytest.approx(-23 / 48 * lam, rel=1e-12)
 
 
-def test_row_and_cost_units_give_the_same_answer_or_a_refusal(rng):
+def test_row_and_cost_units_give_the_same_answer_or_a_refusal(rng, lp_paths):
     # Rows and costs scaled by powers of two, so exactly.  The absolute pivot
     # tolerances can then skip a tiny row or stop on tiny reduced costs; the
     # vertex they leave must be refused, never returned as a wrong OPTIMAL.
-    checked = refused = 0
+    pairs = []  # drawn as before: units only for an LP that is OPTIMAL at unit scale
     for _ in range(1000):
         n, m_ub = int(rng.integers(2, 7)), int(rng.integers(1, 4))
         lp = LpProblem(
@@ -271,8 +274,7 @@ def test_row_and_cost_units_give_the_same_answer_or_a_refusal(rng):
             a_eq=np.ones((1, n)),
             b_eq=np.ones(1),
         )
-        ref = solve_lp(lp)
-        if ref.status is not LpStatus.OPTIMAL:
+        if solve_lp(lp).status is not LpStatus.OPTIMAL:
             continue
         cost_unit = 2.0 ** int(rng.integers(-45, 46))
         row_units = 2.0 ** rng.integers(-45, 46, m_ub + 1)
@@ -283,15 +285,22 @@ def test_row_and_cost_units_give_the_same_answer_or_a_refusal(rng):
             a_eq=lp.a_eq * row_units[m_ub:, None],
             b_eq=lp.b_eq * row_units[m_ub:],
         )
-        try:
-            sol = solve_lp(scaled)
-        except CertificateError:
-            refused += 1
-            continue
-        if sol.status is LpStatus.OPTIMAL:
-            checked += 1
-            assert sol.objective / cost_unit == pytest.approx(ref.objective, rel=1e-9, abs=1e-12)
-    assert checked >= 100 and refused >= 40
+        pairs.append((lp, scaled, cost_unit))
+    for _ in lp_paths():
+        checked = refused = 0
+        for lp, scaled, cost_unit in pairs:
+            ref = solve_lp(lp)
+            if ref.status is not LpStatus.OPTIMAL:
+                continue
+            try:
+                sol = solve_lp(scaled)
+            except CertificateError:
+                refused += 1
+                continue
+            if sol.status is LpStatus.OPTIMAL:
+                checked += 1
+                assert sol.objective / cost_unit == pytest.approx(ref.objective, rel=1e-9, abs=1e-12)
+        assert checked >= 100 and refused >= 40
 
 
 def test_degenerate_lps_are_certified(rng, monkeypatch, lp_paths):
@@ -470,6 +479,9 @@ def test_block_pricing_solves_as_one_block(monkeypatch):
     # Whole solves with phase 1 and redundant equality rows, whose leftover
     # artificials phase 2 holds at zero under the same block pricing: blocks of
     # two or three columns give the bits of a single block over every column.
+    # These LPs are below SCALAR_ENTRIES, so the numpy path, the one that
+    # prices in blocks, is taken with the constant at 0.
+    monkeypatch.setattr(simplex, "SCALAR_ENTRIES", 0)
     answers = {}
     for first in (10**9, 2, 3):
         monkeypatch.setattr(simplex, "FIRST_BLOCK", first)
@@ -498,22 +510,23 @@ def test_block_pricing_solves_as_one_block(monkeypatch):
     assert sum(a[1][0] > 0 for a in answers[2]) >= 200  # phase 1 pivoted
 
 
-def test_two_sensor_lp_reports_its_pivots_per_phase(two_sensor):
-    # one pivot to bring the equality row's artificial out, three to the optimum
+def test_two_sensor_lp_reports_its_pivots_per_phase(two_sensor, lp_paths):
     spec, strategies = two_sensor
     r = cs.r_matrix(spec, strategies)
-    sol = solve_lp(LpProblem(
-        cost=r[:, 0],
-        a_ub=r[:, 1:].T,
-        b_ub=np.asarray(spec.constraints),
-        a_eq=np.ones((1, len(strategies))),
-        b_eq=np.array([1.0]),
-    ))
-    assert sol.pivots == (1, 3)
-    # no artificial, so no phase 1; Bland's rule enters column 0, then column 1
-    assert solve_lp(LpProblem(
-        np.array([-1.0, -2.0]), np.array([[1.0, 1.0]]), np.array([1.0]), np.zeros((0, 2)), np.zeros(0)
-    )).pivots == (0, 2)
+    for _ in lp_paths():
+        # one pivot to bring the equality row's artificial out, three to the optimum
+        sol = solve_lp(LpProblem(
+            cost=r[:, 0],
+            a_ub=r[:, 1:].T,
+            b_ub=np.asarray(spec.constraints),
+            a_eq=np.ones((1, len(strategies))),
+            b_eq=np.array([1.0]),
+        ))
+        assert sol.pivots == (1, 3)
+        # no artificial, so no phase 1; Bland's rule enters column 0, then column 1
+        assert solve_lp(LpProblem(
+            np.array([-1.0, -2.0]), np.array([[1.0, 1.0]]), np.array([1.0]), np.zeros((0, 2)), np.zeros(0)
+        )).pivots == (0, 2)
 
 
 @pytest.mark.parametrize("field", ["cost", "a_ub", "b_ub", "a_eq", "b_eq"])
